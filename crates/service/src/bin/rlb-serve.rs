@@ -24,6 +24,7 @@
 
 use std::io::Write;
 use std::process::ExitCode;
+use std::sync::atomic::AtomicBool;
 use std::sync::RwLock;
 
 fn main() -> ExitCode {
@@ -36,13 +37,21 @@ fn main() -> ExitCode {
         .filter(|a| !a.trim().is_empty());
     let result = match addr {
         Some(addr) => serve_tcp(&engine, addr.trim(), &config),
-        None => rlb_serve::serve(
-            &engine,
-            std::io::stdin().lock(),
-            std::io::stdout().lock(),
-            config.max_line_bytes,
-        )
-        .map(|summary| (summary.requests, summary.errors, summary.shut_down)),
+        None => {
+            let mut session = rlb_serve::Session::stdin();
+            session
+                .serve(
+                    &engine,
+                    std::io::stdin().lock(),
+                    std::io::stdout().lock(),
+                    config.max_line_bytes,
+                    &AtomicBool::new(false),
+                )
+                .map(|()| {
+                    let summary = session.summary();
+                    (summary.requests, summary.errors, summary.shut_down)
+                })
+        }
     };
     let metrics_path =
         std::env::var("RLB_SERVE_METRICS").unwrap_or_else(|_| "RUN_METRICS.json".into());

@@ -3,12 +3,13 @@
 //!
 //! Every batch binary in the workspace follows build-task → measure → exit.
 //! The engine inverts that: it is constructed once, then absorbs ingest
-//! batches over its lifetime, keeping three incremental structures in sync:
+//! batches over its lifetime, keeping four incremental structures in sync:
 //!
 //! - the [`MatchingTask`] record store and labelled splits (append-only),
 //! - a [`TaskViewCache`] extended through one shared append-only
 //!   [`rlb_textsim::ShardedInterner`] (no re-tokenization of old records),
-//! - an [`NnIndex`] over the right source for embedding top-K blocking.
+//! - an [`NnIndex`] over the right source for embedding top-K blocking,
+//! - the `[CS, JS]` similarity row of every labelled pair.
 //!
 //! **Incremental-twin policy.** After any sequence of ingests, the engine's
 //! [`Engine::assess`] and [`Engine::link`] outputs are byte-identical
@@ -18,22 +19,22 @@
 //! embedding of a record depends only on its own text. The property tests in
 //! `tests/incremental.rs` and `benches/service.rs` assert this end to end.
 //!
-//! **Incremental assessment cache.** [`Engine::assess`] memoizes each
-//! labelled pair's `[CS, JS]` similarity row: the record store is
-//! append-only, so a cached row can never go stale, and a call after an
-//! ingest re-scores only the pairs it has never seen before feeding
-//! [`assess_from_scores`] — the same downstream entry the batch path uses,
-//! which is why cached results stay byte-identical to the recompute twin.
-//! The cache (and the `metrics` baseline) live behind interior `Mutex`es so
-//! both ops are honest `&self` reads under the service's `RwLock` — see
-//! `protocol.rs` for the per-op lock choice.
+//! **Rows scored at ingest.** [`Engine::ingest`] scores each new labelled
+//! pair's `[CS, JS]` similarity row once, under the write lock it already
+//! holds, and stores it beside its split. The record store is append-only,
+//! so a stored row never goes stale: [`Engine::assess`] only concatenates
+//! the rows and feeds [`assess_from_scores`] — the same downstream entry
+//! the batch path uses, which is why its results stay byte-identical to
+//! the rebuild twin. The engine has no interior mutability: every read op
+//! is a plain `&self` call under the service's `RwLock`, and per-connection
+//! bookkeeping (trace numbering, the `metrics` window) lives in
+//! [`crate::protocol::Session`].
 
 use rlb_blocking::{EmbeddingNnBlocker, IndexSide, NnIndex, Retrieval};
 use rlb_core::assessment::{assess_from_scores, assess_with, Assessment};
 use rlb_data::{LabeledPair, MatchingTask, PairRef, Source};
 use rlb_matchers::features::TaskViewCache;
-use rlb_util::{FxHashMap, FxHashSet};
-use std::sync::Mutex;
+use rlb_util::FxHashSet;
 
 /// Which labelled split an ingested pair lands in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,12 +111,11 @@ pub struct Engine {
     blocker: EmbeddingNnBlocker,
     seen_pairs: FxHashSet<PairRef>,
     schema_fixed: bool,
-    // Interior mutability so `metrics` and `assess` stay `&self` (read-path
-    // ops under the service's `RwLock`): the baseline window and the
-    // similarity cache are bookkeeping, not engine state — they never
-    // change what any request observes about the store.
-    metrics_baseline: Mutex<Option<rlb_obs::MetricsSnapshot>>,
-    sim_cache: Mutex<FxHashMap<PairRef, [f64; 2]>>,
+    // The `[CS, JS]` row of every labelled pair, one vector per split
+    // (indexed by `Split as usize`) aligned with `task.train` / `task.val`
+    // / `task.test`. Not one vector in `all_pairs()` order: a later train
+    // pair lands before earlier val/test pairs in that order.
+    rows: [Vec<[f64; 2]>; 3],
 }
 
 impl Engine {
@@ -138,25 +138,7 @@ impl Engine {
             blocker,
             seen_pairs: FxHashSet::default(),
             schema_fixed: false,
-            metrics_baseline: Mutex::new(None),
-            sim_cache: Mutex::new(FxHashMap::default()),
-        }
-    }
-
-    /// Replaces the stored `metrics` baseline with `current`, returning the
-    /// previous one. The protocol's `metrics` op uses the pair to report
-    /// since-last-call deltas: the first call has no baseline and reports
-    /// all-time values as the window. `&self`: the baseline lives behind its
-    /// own `Mutex` so `metrics` rides the concurrent read path.
-    pub fn swap_metrics_baseline(
-        &self,
-        current: rlb_obs::MetricsSnapshot,
-    ) -> Option<rlb_obs::MetricsSnapshot> {
-        match self.metrics_baseline.lock() {
-            Ok(mut baseline) => baseline.replace(current),
-            // A panic while holding the lock loses the window baseline, not
-            // the engine: report an all-time window rather than failing.
-            Err(poisoned) => poisoned.into_inner().replace(current),
+            rows: Default::default(),
         }
     }
 
@@ -184,7 +166,7 @@ impl Engine {
     /// Validates and applies one ingest batch. On error nothing is mutated;
     /// on success records are appended to the store, the views are extended
     /// through the shared interner, new right records enter the embedding
-    /// index, and pairs join their splits.
+    /// index, and pairs join their splits with their `[CS, JS]` rows.
     pub fn ingest(&mut self, batch: IngestBatch) -> Result<IngestStats, String> {
         let _span = rlb_obs::span!("serve.ingest", "{}+{}", batch.left.len(), batch.right.len());
         self.validate_batch(&batch)?;
@@ -203,20 +185,28 @@ impl Engine {
         for values in batch.right {
             self.task.right.push(values);
         }
-        for p in &batch.pairs {
-            let lp = LabeledPair::new(p.left, p.right, p.is_match);
-            self.seen_pairs.insert(lp.pair);
-            match p.split {
-                Split::Train => self.task.train.push(lp),
-                Split::Val => self.task.val.push(lp),
-                Split::Test => self.task.test.push(lp),
-            }
-        }
         if self.schema_fixed {
             self.views = Some(match self.views.take() {
                 Some(v) => v.extended(&self.task),
                 None => TaskViewCache::build(&self.task),
             });
+        }
+        // Validation guarantees pairs only arrive once records (and so the
+        // views) exist.
+        if let Some(views) = &self.views {
+            let rows = rlb_util::par::par_map(&batch.pairs, |p| {
+                views.cs_js(PairRef::new(p.left, p.right))
+            });
+            for (p, row) in batch.pairs.iter().zip(rows) {
+                let lp = LabeledPair::new(p.left, p.right, p.is_match);
+                self.seen_pairs.insert(lp.pair);
+                match p.split {
+                    Split::Train => self.task.train.push(lp),
+                    Split::Val => self.task.val.push(lp),
+                    Split::Test => self.task.test.push(lp),
+                }
+                self.rows[p.split as usize].push(row);
+            }
         }
         self.index
             .insert_all(&self.task.right.records[right_start..]);
@@ -234,7 +224,8 @@ impl Engine {
     /// source is indexed incrementally, left records are the queries.
     pub fn link(&self, k: usize) -> Retrieval {
         let _span = rlb_obs::span!("serve.link", "k={k}");
-        self.index.retrieval(&self.task.left.records, k.max(1))
+        self.index
+            .retrieval(&self.task.left.records, self.bounded_k(k))
     }
 
     /// IVF-probed variant of [`Engine::link`]. `nprobe` defaults to the
@@ -244,50 +235,36 @@ impl Engine {
     pub fn link_ann(&self, k: usize, nprobe: Option<usize>) -> Retrieval {
         let _span = rlb_obs::span!("serve.link", "ann k={k}");
         self.index
-            .retrieval_ann(&self.task.left.records, k.max(1), nprobe)
+            .retrieval_ann(&self.task.left.records, self.bounded_k(k), nprobe)
+    }
+
+    /// `k` clamped to `1..=` the indexed record count. A larger `k` ranks
+    /// nothing more, and a wire value like `1e308` would otherwise size the
+    /// retrieval buffers past what any allocation can hold.
+    fn bounded_k(&self, k: usize) -> usize {
+        k.clamp(1, self.task.right.len().max(1))
     }
 
     /// A-priori assessment (linearity, complexity, verdict flags) over the
-    /// current store, computed from the incrementally extended views.
+    /// current store.
     ///
-    /// **Incremental:** per-pair `[CS, JS]` similarity rows are cached by
-    /// [`PairRef`] across calls, so an `assess` after an ingest only scores
-    /// the pairs that ingest added and re-derives the aggregate measures.
-    /// Records are append-only and a pair's similarity depends only on its
-    /// two records' token sets, so cached rows never go stale — the output
+    /// **Incremental:** the per-pair `[CS, JS]` rows were scored when their
+    /// pairs were ingested, so this call only concatenates them in
+    /// train→val→test order and re-derives the aggregate measures. Records
+    /// are append-only and a pair's similarity depends only on its two
+    /// records' token sets, so a stored row never goes stale — the output
     /// is byte-identical to [`Engine::assess_rebuilt`], which recomputes
     /// everything from scratch (asserted in `tests/incremental.rs` and
     /// `benches/service.rs`).
     pub fn assess(&self) -> Result<Assessment, String> {
-        let views = self
-            .views
-            .as_ref()
-            .ok_or_else(|| "nothing ingested yet".to_string())?;
+        if self.views.is_none() {
+            return Err("nothing ingested yet".to_string());
+        }
         let _span = rlb_obs::span!("serve.assess", "{}", self.task.name);
         let pairs: Vec<LabeledPair> = self.task.all_pairs().copied().collect();
-        let mut cache = match self.sim_cache.lock() {
-            Ok(cache) => cache,
-            // A panic mid-insert can at worst have left *fewer* entries than
-            // intended, never wrong ones; keep serving from what's there.
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let missing: Vec<LabeledPair> = pairs
-            .iter()
-            .filter(|lp| !cache.contains_key(&lp.pair))
-            .copied()
-            .collect();
-        if !missing.is_empty() {
-            let computed = rlb_util::par::par_map(&missing, |lp| views.cs_js(lp.pair));
-            cache.reserve(missing.len());
-            for (lp, row) in missing.iter().zip(&computed) {
-                cache.insert(lp.pair, *row);
-            }
-        }
-        rlb_obs::counter_add("serve.assess_computed", missing.len() as u64);
-        rlb_obs::counter_add("serve.assess_cached", (pairs.len() - missing.len()) as u64);
+        let scores = self.rows.concat();
+        rlb_obs::counter_add("serve.assess_cached", scores.len() as u64);
         rlb_obs::counter_add("linearity.pairs", pairs.len() as u64);
-        let scores: Vec<[f64; 2]> = pairs.iter().map(|lp| cache[&lp.pair]).collect();
-        drop(cache);
         assess_from_scores(&self.task, &[], &pairs, &scores).map_err(|e| e.to_string())
     }
 
@@ -411,13 +388,20 @@ mod tests {
     fn failed_ingest_mutates_nothing() {
         let mut e = Engine::new("t");
         e.ingest(IngestBatch {
-            left: recs(&["a"]),
-            right: recs(&["b"]),
-            pairs: vec![pair(0, 0, true, Split::Train)],
+            left: recs(&["a", "acme widget", "zen speaker"]),
+            right: recs(&["b", "acme wdget", "zen speakers"]),
+            pairs: vec![
+                pair(0, 0, true, Split::Train),
+                pair(1, 1, true, Split::Train),
+                pair(2, 2, true, Split::Val),
+                pair(1, 2, false, Split::Test),
+                pair(2, 1, false, Split::Train),
+            ],
             ..Default::default()
         })
         .unwrap();
         let before = e.stats();
+        let assessed_before = rlb_util::json::to_string(&e.assess().unwrap());
         // Bad arity.
         let err = e
             .ingest(IngestBatch {
@@ -446,6 +430,11 @@ mod tests {
         assert_eq!(
             (before.left, before.right, before.pairs),
             (after.left, after.right, after.pairs)
+        );
+        // The stored similarity rows are untouched too.
+        assert_eq!(
+            rlb_util::json::to_string(&e.assess().unwrap()),
+            assessed_before
         );
     }
 

@@ -6,22 +6,23 @@
 //! ingested so far, and the incremental structures (shared token
 //! dictionary, extended task views, embedding index) guarantee the answers
 //! are byte-identical to a from-scratch batch rebuild — see [`engine`] for
-//! the twin policy and [`protocol`] for the stdin-JSONL wire format the
-//! `rlb-serve` binary speaks.
+//! the twin policy and [`protocol`] for the JSONL wire format the
+//! `rlb-serve` binary speaks on stdin or TCP.
 //!
-//! The engine is shared behind one `RwLock`: `ingest` serializes through
-//! the write lock, everything else (`link`/`assess`/`stats`/`metrics`)
-//! reads concurrently. [`transport`] puts a std-only TCP listener in front
-//! of that lock (`RLB_SERVE_ADDR`), multiplexing N concurrent JSONL
-//! sessions over the same protocol with per-session `{run}/s{id}/{seq}`
-//! traces, idle timeouts and graceful error degradation.
+//! State splits in two. Engine state (records, views, index, the stored
+//! similarity rows) lives behind one `RwLock` and nowhere else: `ingest`
+//! serializes through the write lock, `link`/`assess`/`stats` read
+//! concurrently. Session state (trace numbering, the `metrics` window) is
+//! owned by the connection as a [`Session`] and needs no lock. One request
+//! loop serves every transport; [`transport`] puts a std-only TCP listener
+//! in front of the engine (`RLB_SERVE_ADDR`), multiplexing N concurrent
+//! JSONL sessions with per-session `{run}/s{id}/{seq}` traces, idle
+//! timeouts and graceful error degradation.
 
 pub mod engine;
 pub mod protocol;
 pub mod transport;
 
 pub use engine::{Engine, IngestBatch, IngestPair, IngestStats, Split};
-pub use protocol::{
-    handle_request, handle_request_traced, serve, ServeSummary, DEFAULT_K, DEFAULT_LINK_LIMIT,
-};
+pub use protocol::{ServeSummary, Session, DEFAULT_K, DEFAULT_LINK_LIMIT};
 pub use transport::{env_usize_once, serve_tcp, TcpSummary, TransportConfig};

@@ -1,4 +1,4 @@
-//! The stdin-JSONL wire protocol in front of [`Engine`].
+//! The JSONL wire protocol in front of [`Engine`].
 //!
 //! One JSON object per line in, one per line out. Every request carries an
 //! `"op"` field; every response carries `"ok"` (`true` with op-specific
@@ -22,20 +22,25 @@
 //! {"op":"shutdown"}
 //! ```
 //!
-//! Every request runs inside an `rlb-obs` span under its own trace id
-//! (`<run-trace>/<sequence>`, see `rlb_obs::next_request_trace`), echoed as
-//! `"trace"` in every response, and feeds per-op counters (`serve.<op>`),
-//! the shared latency histogram `serve.request_us`, and a per-op histogram
-//! `serve.<op>_us`. The `stats` op surfaces the full counter/histogram
-//! snapshot; the `metrics` op additionally reports since-last-call deltas
-//! per counter and a `"window"` summary per histogram (rolling p50/p99 per
-//! op between consecutive `metrics` calls), so a client can watch the
-//! engine live without touching `RUN_METRICS.json`.
+//! Every connection (stdin counts as one) is a [`Session`]: one request
+//! loop ([`Session::serve`], shared by the stdin and TCP transports) plus
+//! the connection's own bookkeeping. Every request runs inside an `rlb-obs`
+//! span under the session's next trace id (`<run>/<n>` on stdin,
+//! `<run>/s<id>/<n>` on socket session `id`), echoed as `"trace"` in every
+//! response, and feeds per-op counters (`serve.<op>`), the shared latency
+//! histogram `serve.request_us`, and a per-op histogram `serve.<op>_us`.
+//! The `stats` op surfaces the full counter/histogram snapshot; the
+//! `metrics` op additionally reports deltas per counter and a `"window"`
+//! summary per histogram since the same session's previous `metrics` call
+//! (rolling p50/p99 per op), so a client can watch the engine live without
+//! touching `RUN_METRICS.json` and without shrinking another session's
+//! window.
 
 use crate::engine::{Engine, IngestBatch, IngestPair, Split};
 use rlb_util::json::{read_line, write_line, JsonLine, Value, MAX_DEPTH};
 use rlb_util::ToJson;
 use std::io::{BufRead, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::RwLock;
 
 /// Default number of neighbours per query for `link`.
@@ -44,7 +49,7 @@ pub const DEFAULT_K: usize = 5;
 /// always reports the uncapped count).
 pub const DEFAULT_LINK_LIMIT: usize = 100;
 
-/// What the serve loop saw, returned to the binary for logging.
+/// What a session's request loop has answered, for the binary's exit log.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeSummary {
     /// Requests answered (ok or error).
@@ -81,136 +86,208 @@ fn ok_response(fields: Vec<(String, Value)>) -> Value {
     Value::Obj(obj)
 }
 
-/// Runs the request loop until `shutdown`, end of input, or an I/O error.
-/// `max_line_bytes` bounds each request line (`RLB_SERVE_MAX_LINE` in the
-/// binary); responses are flushed per line so a piped client can converse.
-///
-/// The engine arrives behind the service's [`RwLock`]; each request takes
-/// the lock appropriate to its op (see [`handle_request`]), so a stdin loop
-/// and any number of socket sessions can share one engine.
-pub fn serve<R: BufRead, W: Write>(
-    engine: &RwLock<Engine>,
-    mut input: R,
-    mut output: W,
-    max_line_bytes: usize,
-) -> std::io::Result<ServeSummary> {
-    let mut summary = ServeSummary::default();
-    loop {
-        let request = match read_line(&mut input, max_line_bytes, MAX_DEPTH)? {
-            JsonLine::Eof => break,
-            JsonLine::Bad(e) => {
-                summary.requests += 1;
-                summary.errors += 1;
-                rlb_obs::counter_add("serve.bad_line", 1);
-                write_line(&mut output, &err_response(e.to_string()))?;
-                output.flush()?;
-                continue;
+/// One connection's state: the request-trace numbering, the `metrics`
+/// window baseline and what the connection has been answered so far. The
+/// engine behind the service's [`RwLock`] is shared; a `Session` belongs to
+/// exactly one connection (stdin counts as one), so its bookkeeping needs
+/// no lock.
+#[derive(Debug, Default)]
+pub struct Session {
+    /// `None` for stdin, `Some(id)` for socket session `s<id>`.
+    id: Option<u64>,
+    /// Requests this socket session has numbered so far.
+    seq: u64,
+    /// The snapshot taken by this session's previous `metrics` call.
+    metrics_baseline: Option<rlb_obs::MetricsSnapshot>,
+    summary: ServeSummary,
+}
+
+impl Session {
+    /// The stdin session: request traces come from the process-wide
+    /// `<run>/<n>` counter ([`rlb_obs::next_request_trace`]).
+    pub fn stdin() -> Session {
+        Session::default()
+    }
+
+    /// Socket session `id`: its `n`-th request is traced `<run>/s<id>/<n>`
+    /// ([`rlb_obs::session_request_trace`]), whatever other sessions do.
+    pub fn socket(id: u64) -> Session {
+        Session {
+            id: Some(id),
+            ..Session::default()
+        }
+    }
+
+    /// What the request loop has answered on this session so far.
+    pub fn summary(&self) -> ServeSummary {
+        self.summary
+    }
+
+    /// The request loop, for any transport: reads one line at a time,
+    /// answers it with one flushed line, and stops on `shutdown`, end of
+    /// input, an I/O error, or once `stop` is set. A `shutdown` request sets
+    /// `stop`, so every session sharing the flag stops too. `max_line_bytes`
+    /// bounds each request line (`RLB_SERVE_MAX_LINE`). Read timeouts come
+    /// back as the I/O error; the caller decides what a timeout means.
+    pub fn serve<R: BufRead, W: Write>(
+        &mut self,
+        engine: &RwLock<Engine>,
+        mut input: R,
+        mut output: W,
+        max_line_bytes: usize,
+        stop: &AtomicBool,
+    ) -> std::io::Result<()> {
+        while !stop.load(Ordering::SeqCst) {
+            let (response, shutdown) = match read_line(&mut input, max_line_bytes, MAX_DEPTH)? {
+                JsonLine::Eof => break,
+                JsonLine::Bad(e) => {
+                    rlb_obs::counter_add("serve.bad_line", 1);
+                    (err_response(e.to_string()), false)
+                }
+                JsonLine::Record(request) => self.handle(engine, &request),
+            };
+            self.summary.requests += 1;
+            if response.get("ok").and_then(Value::as_bool) != Some(true) {
+                self.summary.errors += 1;
             }
-            JsonLine::Record(v) => v,
+            write_line(&mut output, &response)?;
+            output.flush()?;
+            if shutdown {
+                self.summary.shut_down = true;
+                stop.store(true, Ordering::SeqCst);
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Dispatches one parsed request under this session's next trace id;
+    /// returns the response and whether to stop. The engine lock is taken
+    /// per op: `ingest` is the only writer; `link`, `assess` and `stats`
+    /// take read locks and run concurrently across sessions. `metrics` and
+    /// `shutdown` touch no engine state and take no lock.
+    pub fn handle(&mut self, engine: &RwLock<Engine>, request: &Value) -> (Value, bool) {
+        let trace = match self.id {
+            None => rlb_obs::next_request_trace(),
+            Some(id) => {
+                self.seq += 1;
+                rlb_obs::session_request_trace(id, self.seq)
+            }
         };
-        let (response, shutdown) = handle_request(engine, &request);
-        summary.requests += 1;
-        if response.get("ok").and_then(Value::as_bool) != Some(true) {
-            summary.errors += 1;
-        }
-        write_line(&mut output, &response)?;
-        output.flush()?;
-        if shutdown {
-            summary.shut_down = true;
-            break;
-        }
-    }
-    Ok(summary)
-}
-
-/// Dispatches one parsed request; returns the response and whether to stop.
-/// Public so the service bench can drive the protocol without pipes.
-///
-/// Allocates the next global `<run>/<seq>` trace id; socket sessions use
-/// [`handle_request_traced`] with their own per-session ids instead.
-pub fn handle_request(engine: &RwLock<Engine>, request: &Value) -> (Value, bool) {
-    let trace = rlb_obs::next_request_trace();
-    handle_request_traced(engine, request, &trace)
-}
-
-/// [`handle_request`] under a caller-supplied trace scope. The engine lock
-/// is taken per op: `ingest` is the only writer; `link`, `assess`, `stats`
-/// and `metrics` take read locks and run concurrently across sessions
-/// (`assess` and `metrics` keep their internal bookkeeping behind their own
-/// mutexes, so `&self` is honest). `shutdown` touches no engine state.
-pub fn handle_request_traced(
-    engine: &RwLock<Engine>,
-    request: &Value,
-    trace: &rlb_obs::TraceScope,
-) -> (Value, bool) {
-    let started = std::time::Instant::now();
-    let op = match request.get("op").and_then(Value::as_str) {
-        Some(op) => op.to_owned(),
-        None => {
-            let mut response = err_response("request has no \"op\" field");
-            if let Value::Obj(fields) = &mut response {
-                fields.insert(1, ("trace".into(), Value::Str(trace.id().into())));
+        let started = std::time::Instant::now();
+        let op = match request.get("op").and_then(Value::as_str) {
+            Some(op) => op.to_owned(),
+            None => {
+                let mut response = err_response("request has no \"op\" field");
+                if let Value::Obj(fields) = &mut response {
+                    fields.insert(1, ("trace".into(), Value::Str(trace.id().into())));
+                }
+                rlb_obs::counter_add("serve.errors", 1);
+                return (response, false);
             }
-            rlb_obs::counter_add("serve.errors", 1);
-            return (response, false);
-        }
-    };
-    let _span = rlb_obs::span!("serve.request", "{op}");
-    let (mut response, shutdown) = match op.as_str() {
-        "ingest" => (
-            match engine.write() {
-                Ok(mut engine) => handle_ingest(&mut engine, request),
-                Err(_) => err_response(POISONED),
-            },
-            false,
-        ),
-        "link" => (
-            match engine.read() {
-                Ok(engine) => handle_link(&engine, request),
-                Err(_) => err_response(POISONED),
-            },
-            false,
-        ),
-        "assess" => (
-            match engine.read() {
-                Ok(engine) => match engine.assess() {
-                    Ok(a) => ok_response(vec![("assessment".into(), a.to_json())]),
-                    Err(e) => err_response(e),
+        };
+        let _span = rlb_obs::span!("serve.request", "{op}");
+        let (mut response, shutdown) = match op.as_str() {
+            "ingest" => (
+                match engine.write() {
+                    Ok(mut engine) => handle_ingest(&mut engine, request),
+                    Err(_) => err_response(POISONED),
                 },
-                Err(_) => err_response(POISONED),
-            },
-            false,
-        ),
-        "stats" => (
-            match engine.read() {
-                Ok(engine) => handle_stats(&engine),
-                Err(_) => err_response(POISONED),
-            },
-            false,
-        ),
-        "metrics" => (
-            match engine.read() {
-                Ok(engine) => handle_metrics(&engine),
-                Err(_) => err_response(POISONED),
-            },
-            false,
-        ),
-        "shutdown" => (ok_response(vec![]), true),
-        other => (err_response(format!("unknown op {other:?}")), false),
-    };
-    if let Value::Obj(fields) = &mut response {
-        fields.insert(1, ("trace".into(), Value::Str(trace.id().into())));
+                false,
+            ),
+            "link" => (
+                match engine.read() {
+                    Ok(engine) => handle_link(&engine, request),
+                    Err(_) => err_response(POISONED),
+                },
+                false,
+            ),
+            "assess" => (
+                match engine.read() {
+                    Ok(engine) => match engine.assess() {
+                        Ok(a) => ok_response(vec![("assessment".into(), a.to_json())]),
+                        Err(e) => err_response(e),
+                    },
+                    Err(_) => err_response(POISONED),
+                },
+                false,
+            ),
+            "stats" => (
+                match engine.read() {
+                    Ok(engine) => handle_stats(&engine),
+                    Err(_) => err_response(POISONED),
+                },
+                false,
+            ),
+            "metrics" => (self.metrics(), false),
+            "shutdown" => (ok_response(vec![]), true),
+            other => (err_response(format!("unknown op {other:?}")), false),
+        };
+        if let Value::Obj(fields) = &mut response {
+            fields.insert(1, ("trace".into(), Value::Str(trace.id().into())));
+        }
+        let elapsed_us = started.elapsed().as_micros() as u64;
+        rlb_obs::histogram_record("serve.request_us", elapsed_us);
+        if let Some((counter, histogram)) = op_metrics(&op) {
+            rlb_obs::counter_add(counter, 1);
+            rlb_obs::histogram_record(histogram, elapsed_us);
+        }
+        if response.get("ok").and_then(Value::as_bool) != Some(true) {
+            rlb_obs::counter_add("serve.errors", 1);
+        }
+        (response, shutdown)
     }
-    let elapsed_us = started.elapsed().as_micros() as u64;
-    rlb_obs::histogram_record("serve.request_us", elapsed_us);
-    if let Some((counter, histogram)) = op_metrics(&op) {
-        rlb_obs::counter_add(counter, 1);
-        rlb_obs::histogram_record(histogram, elapsed_us);
+
+    /// The `metrics` op: a live counter/histogram snapshot plus deltas since
+    /// this session's previous `metrics` call. Counters report
+    /// `{"total", "delta"}`; histograms report the cumulative summary under
+    /// `"cumulative"` and the window under `"window"` (a session's first
+    /// window is all-time). Per-op rolling p50/p99 are therefore
+    /// `histograms["serve.<op>_us"].window.p50/p99`. Counters are
+    /// process-wide, so a window counts every session's requests; only the
+    /// window boundaries are per session.
+    fn metrics(&mut self) -> Value {
+        let snap = rlb_obs::snapshot();
+        let prev = self
+            .metrics_baseline
+            .replace(snap.clone())
+            .unwrap_or_default();
+        let counters: Vec<(String, Value)> = snap
+            .counters
+            .iter()
+            .map(|(name, total)| {
+                let delta = total.saturating_sub(prev.counter(name));
+                (
+                    name.clone(),
+                    Value::Obj(vec![
+                        ("total".into(), Value::Num(*total as f64)),
+                        ("delta".into(), Value::Num(delta as f64)),
+                    ]),
+                )
+            })
+            .collect();
+        let histograms: Vec<(String, Value)> = snap
+            .histograms
+            .iter()
+            .map(|(name, h)| {
+                let window = match prev.histogram(name) {
+                    Some(p) => h.delta_since(p),
+                    None => h.clone(),
+                };
+                (
+                    name.clone(),
+                    Value::Obj(vec![
+                        ("cumulative".into(), h.to_value()),
+                        ("window".into(), window.to_value()),
+                    ]),
+                )
+            })
+            .collect();
+        ok_response(vec![
+            ("counters".into(), Value::Obj(counters)),
+            ("histograms".into(), Value::Obj(histograms)),
+        ])
     }
-    if response.get("ok").and_then(Value::as_bool) != Some(true) {
-        rlb_obs::counter_add("serve.errors", 1);
-    }
-    (response, shutdown)
 }
 
 /// A writer panicked while holding the engine lock; readers degrade to a
@@ -408,68 +485,37 @@ fn handle_stats(engine: &Engine) -> Value {
     ])
 }
 
-/// The `metrics` op: a live counter/histogram snapshot plus since-last-call
-/// deltas. Counters report `{"total", "delta"}`; histograms report the
-/// cumulative summary under `"cumulative"` and the window since the
-/// previous `metrics` call under `"window"` (the first call's window is
-/// all-time). Per-op rolling p50/p99 are therefore
-/// `histograms["serve.<op>_us"].window.p50/p99`.
-fn handle_metrics(engine: &Engine) -> Value {
-    let snap = rlb_obs::snapshot();
-    let prev = engine
-        .swap_metrics_baseline(snap.clone())
-        .unwrap_or_default();
-    let counters: Vec<(String, Value)> = snap
-        .counters
-        .iter()
-        .map(|(name, total)| {
-            let delta = total.saturating_sub(prev.counter(name));
-            (
-                name.clone(),
-                Value::Obj(vec![
-                    ("total".into(), Value::Num(*total as f64)),
-                    ("delta".into(), Value::Num(delta as f64)),
-                ]),
-            )
-        })
-        .collect();
-    let histograms: Vec<(String, Value)> = snap
-        .histograms
-        .iter()
-        .map(|(name, h)| {
-            let window = match prev.histogram(name) {
-                Some(p) => h.delta_since(p),
-                None => h.clone(),
-            };
-            (
-                name.clone(),
-                Value::Obj(vec![
-                    ("cumulative".into(), h.to_value()),
-                    ("window".into(), window.to_value()),
-                ]),
-            )
-        })
-        .collect();
-    ok_response(vec![
-        ("counters".into(), Value::Obj(counters)),
-        ("histograms".into(), Value::Obj(histograms)),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Stdin sessions number their requests from the process-wide trace
+    /// counter. Tests run in parallel, so each one holds this lock while
+    /// its stdin session runs; otherwise another test could take a number
+    /// between two of its requests.
+    static STDIN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn stdin_session() -> (std::sync::MutexGuard<'static, ()>, Session) {
+        let guard = STDIN
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        (guard, Session::stdin())
+    }
+
     fn drive(script: &str) -> (Vec<Value>, ServeSummary) {
         let engine = RwLock::new(Engine::new("test"));
+        let (_stdin, mut session) = stdin_session();
         let mut out = Vec::new();
-        let summary = serve(
-            &engine,
-            std::io::BufReader::new(script.as_bytes()),
-            &mut out,
-            4096,
-        )
-        .unwrap();
+        session
+            .serve(
+                &engine,
+                std::io::BufReader::new(script.as_bytes()),
+                &mut out,
+                4096,
+                &AtomicBool::new(false),
+            )
+            .unwrap();
+        let summary = session.summary();
         let responses = String::from_utf8(out)
             .unwrap()
             .lines()
@@ -556,6 +602,7 @@ mod tests {
     #[test]
     fn assess_over_the_wire_matches_direct_call() {
         let engine = RwLock::new(Engine::new("twin"));
+        let (_stdin, mut session) = stdin_session();
         let ingest = Value::parse(concat!(
             r#"{"op":"ingest","left":[["acme widget pro"],["zen speaker ultra"],["kordia laptop"],["other thing"]],"#,
             r#""right":[["acme wdget pro"],["zen speakers"],["kordia laptops"],["unrelated junk"]],"#,
@@ -567,9 +614,9 @@ mod tests {
             r#"{"left":2,"right":3,"match":false,"split":"test"}]}"#
         ))
         .unwrap();
-        let (resp, _) = handle_request(&engine, &ingest);
+        let (resp, _) = session.handle(&engine, &ingest);
         assert!(ok(&resp), "{resp:?}");
-        let (resp, _) = handle_request(&engine, &Value::parse(r#"{"op":"assess"}"#).unwrap());
+        let (resp, _) = session.handle(&engine, &Value::parse(r#"{"op":"assess"}"#).unwrap());
         assert!(ok(&resp), "{resp:?}");
         let wire = resp.get("assessment").expect("assessment payload");
         let direct = engine.read().unwrap().assess().unwrap();
@@ -579,19 +626,20 @@ mod tests {
     #[test]
     fn link_with_nprobe_reports_ann_mode_and_matches_exact_when_exhaustive() {
         let engine = RwLock::new(Engine::new("ann"));
+        let (_stdin, mut session) = stdin_session();
         let ingest = Value::parse(concat!(
             r#"{"op":"ingest","left":[["acme widget"],["zen speaker"]],"#,
             r#""right":[["acme wdget"],["zen speakers"],["junk"]]}"#
         ))
         .unwrap();
-        let (resp, _) = handle_request(&engine, &ingest);
+        let (resp, _) = session.handle(&engine, &ingest);
         assert!(ok(&resp), "{resp:?}");
-        let (exact, _) = handle_request(&engine, &Value::parse(r#"{"op":"link","k":2}"#).unwrap());
+        let (exact, _) = session.handle(&engine, &Value::parse(r#"{"op":"link","k":2}"#).unwrap());
         assert_eq!(exact.get("mode").and_then(Value::as_str), Some("exact"));
         assert!(exact.get("nprobe").is_none());
         // A tiny index is untrained, so any nprobe is exhaustive: the ANN
         // response must carry the same pairs as the exact one.
-        let (ann, _) = handle_request(
+        let (ann, _) = session.handle(
             &engine,
             &Value::parse(r#"{"op":"link","k":2,"nprobe":4}"#).unwrap(),
         );
@@ -644,15 +692,16 @@ mod tests {
     #[test]
     fn metrics_op_reports_totals_deltas_and_rolling_windows() {
         let engine = RwLock::new(Engine::new("metrics"));
+        let (_stdin, mut session) = stdin_session();
         let metrics = Value::parse(r#"{"op":"metrics"}"#).unwrap();
-        let (first, _) = handle_request(&engine, &metrics);
+        let (first, _) = session.handle(&engine, &metrics);
         assert!(ok(&first), "{first:?}");
         // Probe metrics no other test touches, so the window is exactly ours
         // even with concurrent tests hammering the global registry.
         rlb_obs::counter_add("test.metrics_probe", 2);
         rlb_obs::histogram_record("test.metrics_probe_us", 100);
         rlb_obs::histogram_record("test.metrics_probe_us", 300);
-        let (second, _) = handle_request(&engine, &metrics);
+        let (second, _) = session.handle(&engine, &metrics);
         let probe = second
             .get("counters")
             .and_then(|c| c.get("test.metrics_probe"))
@@ -678,7 +727,7 @@ mod tests {
             .is_some());
         // A third immediate call sees an empty probe window: zero delta,
         // null quantiles (never NaN, never fabricated zeros).
-        let (third, _) = handle_request(&engine, &metrics);
+        let (third, _) = session.handle(&engine, &metrics);
         let probe = third
             .get("counters")
             .and_then(|c| c.get("test.metrics_probe"))

@@ -2,14 +2,17 @@
 //!
 //! `rlb-serve` stays a stdin/stdout pipe unless `RLB_SERVE_ADDR` names a
 //! bind address, in which case [`serve_tcp`] accepts TCP connections and
-//! runs one protocol session per connection, all sharing the engine behind
-//! its `RwLock` (see [`crate::protocol::handle_request_traced`] for the
-//! per-op read/write lock split). Each session:
+//! runs one [`Session`] per connection through the same request loop the
+//! stdin mode uses ([`Session::serve`]), all sharing the engine behind its
+//! `RwLock` (see [`Session::handle`] for the per-op read/write lock split).
+//! Each session:
 //!
 //! - gets a session id `s1, s2, …` in accept order, and stamps request
 //!   `n` with the trace id `<run>/s<id>/<n>` — deterministic per session
 //!   whatever the cross-session interleaving, which is what lets the
 //!   concurrent determinism tests compare against a serial replay;
+//! - owns its `metrics` window, so one session's `metrics` call never
+//!   shrinks another's;
 //! - enforces the per-line byte cap (`RLB_SERVE_MAX_LINE`) and an
 //!   idle/read timeout (`RLB_SERVE_TIMEOUT_MS`): a quiet connection gets a
 //!   final `{"ok":false,"error":"idle timeout…"}` line, not a silent drop;
@@ -24,10 +27,10 @@
 //! loop, one thread per session.
 
 use crate::engine::Engine;
-use crate::protocol::{err_response, handle_request_traced};
-use rlb_util::json::{read_line, write_line, JsonLine, Value, MAX_DEPTH};
+use crate::protocol::{err_response, Session};
+use rlb_util::json::write_line;
 use rlb_util::FxHashMap;
-use std::io::Write;
+use std::io::{BufReader, ErrorKind, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
@@ -163,17 +166,17 @@ pub fn serve_tcp(
                     }
                     active.fetch_add(1, Ordering::SeqCst);
                     scope.spawn(move || {
-                        run_session(engine, stream, sid, config, stop, totals);
+                        run_session(engine, &stream, sid, config, stop, totals);
                         if let Ok(mut map) = open.lock() {
                             map.remove(&sid);
                         }
                         active.fetch_sub(1, Ordering::SeqCst);
                     });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(2));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
@@ -193,9 +196,12 @@ pub fn serve_tcp(
     })
 }
 
+/// Runs socket session `sid` through the shared request loop. The
+/// TCP-only parts live here: the read timeout and its structured farewell
+/// line, the session gauge and counters, and the listener totals.
 fn run_session(
     engine: &RwLock<Engine>,
-    stream: TcpStream,
+    stream: &TcpStream,
     sid: u64,
     config: &TransportConfig,
     stop: &AtomicBool,
@@ -203,80 +209,46 @@ fn run_session(
 ) {
     rlb_obs::counter_add("serve.sessions_opened", 1);
     rlb_obs::gauge_add("serve.sessions", 1);
-    let result = session_loop(engine, stream, sid, config, stop, totals);
+    let mut session = Session::socket(sid);
+    let timeout = Duration::from_millis(config.timeout_ms.max(1) as u64);
+    let result = stream.set_read_timeout(Some(timeout)).and_then(|()| {
+        session.serve(
+            engine,
+            BufReader::new(stream),
+            stream,
+            config.max_line_bytes,
+            stop,
+        )
+    });
+    let summary = session.summary();
+    totals
+        .requests
+        .fetch_add(summary.requests, Ordering::SeqCst);
+    totals.errors.fetch_add(summary.errors, Ordering::SeqCst);
     rlb_obs::gauge_add("serve.sessions", -1);
-    if let Err(e) = result {
-        rlb_obs::warn!("[serve] session s{sid} I/O error: {e}");
-    }
-}
-
-fn session_loop(
-    engine: &RwLock<Engine>,
-    stream: TcpStream,
-    sid: u64,
-    config: &TransportConfig,
-    stop: &AtomicBool,
-    totals: &Totals,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(config.timeout_ms.max(1) as u64)))?;
-    let mut reader = std::io::BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut seq = 0u64;
-    while !stop.load(Ordering::SeqCst) {
-        let line = match read_line(&mut reader, config.max_line_bytes, MAX_DEPTH) {
-            Ok(line) => line,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Idle/read timeout: tell the client why before closing.
-                rlb_obs::counter_add("serve.session_timeouts", 1);
-                let _ = write_line(
-                    &mut writer,
-                    &err_response(format!(
-                        "idle timeout after {}ms; closing session",
-                        config.timeout_ms
-                    )),
-                );
-                let _ = writer.flush();
-                break;
-            }
-            Err(e) => return Err(e),
-        };
-        let request = match line {
-            JsonLine::Eof => break,
-            JsonLine::Bad(e) => {
-                totals.requests.fetch_add(1, Ordering::SeqCst);
-                totals.errors.fetch_add(1, Ordering::SeqCst);
-                rlb_obs::counter_add("serve.bad_line", 1);
-                write_line(&mut writer, &err_response(e.to_string()))?;
-                writer.flush()?;
-                continue;
-            }
-            JsonLine::Record(v) => v,
-        };
-        seq += 1;
-        let trace = rlb_obs::session_request_trace(sid, seq);
-        let (response, shutdown) = handle_request_traced(engine, &request, &trace);
-        totals.requests.fetch_add(1, Ordering::SeqCst);
-        if response.get("ok").and_then(Value::as_bool) != Some(true) {
-            totals.errors.fetch_add(1, Ordering::SeqCst);
+    match result {
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            // Idle/read timeout: tell the client why before closing.
+            rlb_obs::counter_add("serve.session_timeouts", 1);
+            let mut writer = stream;
+            let _ = write_line(
+                &mut writer,
+                &err_response(format!(
+                    "idle timeout after {}ms; closing session",
+                    config.timeout_ms
+                )),
+            );
+            let _ = writer.flush();
         }
-        write_line(&mut writer, &response)?;
-        writer.flush()?;
-        if shutdown {
-            stop.store(true, Ordering::SeqCst);
-            break;
-        }
+        Err(e) => rlb_obs::warn!("[serve] session s{sid} I/O error: {e}"),
+        Ok(()) => {}
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rlb_util::json::Value;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
 

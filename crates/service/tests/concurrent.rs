@@ -6,7 +6,7 @@
 //! serially. JSONL lines written under the shared sink lock must never
 //! tear.
 
-use rlb_serve::{handle_request_traced, Engine, IngestBatch, IngestPair, Split};
+use rlb_serve::{Engine, IngestBatch, IngestPair, Session, Split};
 use rlb_synth::{BenchmarkProfile, DifficultyKnobs, Domain};
 use rlb_util::json::Value;
 use std::sync::{Mutex, RwLock};
@@ -101,10 +101,10 @@ fn is_ok(line: &str) -> bool {
 /// response line per request and appending every line to the shared sink
 /// (lock held per line, as the transport writes them).
 fn run_session(engine: &RwLock<Engine>, sid: u64, sink: &Mutex<Vec<u8>>) -> Vec<String> {
+    let mut session = Session::socket(sid);
     let mut lines = Vec::new();
-    for (i, request) in session_script(sid).iter().enumerate() {
-        let trace = rlb_obs::session_request_trace(sid, (i + 1) as u64);
-        let (response, _) = handle_request_traced(engine, request, &trace);
+    for request in &session_script(sid) {
+        let (response, _) = session.handle(engine, request);
         let line = response.to_json_string();
         {
             let mut sink = sink.lock().unwrap();
@@ -120,9 +120,6 @@ fn run_session(engine: &RwLock<Engine>, sid: u64, sink: &Mutex<Vec<u8>>) -> Vec<
 fn concurrent_sessions_replay_byte_identically_serial() {
     const SESSIONS: u64 = 4;
     let engine = RwLock::new(loaded_engine(9001));
-    // Warm the assessment cache so the serial replay and every concurrent
-    // session see the same (fully cached) state from request one.
-    engine.read().unwrap().assess().expect("warmup assess");
 
     let sink = Mutex::new(Vec::new());
     let (engine_ref, sink_ref) = (&engine, &sink);
@@ -149,9 +146,9 @@ fn concurrent_sessions_replay_byte_identically_serial() {
     // totals depend on the interleaving, so they are checked ok-only.
     for (sid, concurrent_lines) in &concurrent {
         let script = session_script(*sid);
+        let mut session = Session::socket(*sid);
         for (i, (request, concurrent_line)) in script.iter().zip(concurrent_lines).enumerate() {
-            let trace = rlb_obs::session_request_trace(*sid, (i + 1) as u64);
-            let (serial, _) = handle_request_traced(&engine, request, &trace);
+            let (serial, _) = session.handle(&engine, request);
             let serial_line = serial.to_json_string();
             match op_of(request) {
                 "link" | "assess" => assert_eq!(

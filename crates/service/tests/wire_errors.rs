@@ -4,7 +4,7 @@
 //! records, no polluted `seen_pairs` or splits, and a clean path forward
 //! for the next valid request.
 
-use rlb_serve::{handle_request, Engine};
+use rlb_serve::{Engine, Session};
 use rlb_util::json::Value;
 use std::sync::RwLock;
 
@@ -13,7 +13,8 @@ fn ok(v: &Value) -> bool {
 }
 
 fn request(engine: &RwLock<Engine>, line: &str) -> Value {
-    let (response, _) = handle_request(engine, &Value::parse(line).expect("request parses"));
+    let (response, _) =
+        Session::stdin().handle(engine, &Value::parse(line).expect("request parses"));
     response
 }
 
