@@ -1,13 +1,20 @@
-//! Streaming-vs-ragged bench for the 17 complexity measures.
+//! Cells-vs-pointwise bench for the 17 complexity measures.
 //!
-//! Three jobs:
+//! Four jobs:
 //!
-//! - **Identity**: [`rlb_complexity::compute`] (streaming columnar
-//!   [`DistanceEngine`](rlb_textsim::gower::DistanceEngine) kernels) and
-//!   [`rlb_complexity::compute_ragged`] (materialized O(n²) matrix) must be
-//!   byte-identical on every one of the 17 values, at every scale where the
-//!   ragged matrix is still feasible.
-//! - **Thread scaling**: the big exact run is repeated at `RLB_THREADS` ∈
+//! - **Identity**: [`rlb_complexity::compute`] (distinct `(features,
+//!   label)` cells, cell-to-cell rows from a columnar
+//!   [`DistanceEngine`](rlb_textsim::gower::DistanceEngine)) and
+//!   [`rlb_complexity::compute_ragged`] (materialized O(n²) point matrix)
+//!   must be byte-identical on every one of the 17 values, at every scale
+//!   where the ragged matrix is still feasible — on near-distinct rows and
+//!   on quantized `[CS, JS]` rows that collapse into few cells.
+//! - **Quantized throughput**: a 20,000-point `[CS, JS]`-shaped run (token
+//!   overlap ratios of small sets), the shape the paper's candidate sets
+//!   have, timed with its cell count.
+//! - **Thread scaling**: the big exact run (clamped-normal rows, nearly
+//!   all distinct: one cell per point but for a few clamped corners) is
+//!   repeated at `RLB_THREADS` ∈
 //!   {1, 2, 4, max}, the full report is asserted bit-identical across every
 //!   level (thread-count invariance at scale, not just in unit tests), and
 //!   the timing curve lands in the artifact with per-sample thread metadata.
@@ -19,7 +26,8 @@
 //! `"identical": true`, the scaling curve, and the threads metadata).
 //!
 //! Smoke knobs: `RLB_BENCH_SAMPLES` / `RLB_BENCH_WARMUP` (harness),
-//! `RLB_BENCH_POINTS` (thread-sweep scale, default 20000).
+//! `RLB_BENCH_POINTS` (thread-sweep and quantized-run scale, default
+//! 20000).
 
 use rlb_bench::timing::{group, threads_metadata, Harness};
 use rlb_complexity::{compute, compute_ragged, ComplexityConfig, ComplexityReport};
@@ -75,6 +83,43 @@ fn env_points(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
+/// `[CS, JS]` rows shaped like the pipeline's: cosine and Jaccard of two
+/// token sets of 2–12 tokens, positives sharing at least half of the
+/// smaller set, 5% label noise. Ratios of small counts repeat, so the rows
+/// collapse into a few hundred cells.
+fn cs_js_quantized(n: usize, pos_frac: f64, seed: u64) -> (Vec<[f64; 2]>, Vec<bool>) {
+    let mut rng = Prng::seed_from_u64(seed);
+    let mut xs = Vec::with_capacity(n);
+    let mut ys = Vec::with_capacity(n);
+    for _ in 0..n {
+        let pos = rng.chance(pos_frac);
+        let (a, b) = (rng.range(2, 13), rng.range(2, 13));
+        let small = a.min(b);
+        let o = if pos {
+            rng.range(small / 2, small + 1)
+        } else {
+            rng.range(0, small / 2 + 1)
+        };
+        let cs = o as f64 / ((a * b) as f64).sqrt();
+        let js = o as f64 / (a + b - o) as f64;
+        xs.push([cs, js]);
+        ys.push(pos != rng.chance(0.05));
+    }
+    ys[0] = true;
+    ys[1] = false;
+    (xs, ys)
+}
+
+/// Distinct `(features, label)` cells, `-0.0` folded into `+0.0`.
+fn cell_count<R: AsRef<[f64]>>(xs: &[R], ys: &[bool]) -> usize {
+    let cells: std::collections::HashSet<(Vec<u64>, bool)> = xs
+        .iter()
+        .zip(ys)
+        .map(|(x, &y)| (x.as_ref().iter().map(|v| (v + 0.0).to_bits()).collect(), y))
+        .collect();
+    cells.len()
+}
+
 /// Asserts all 17 measures agree bit-for-bit between the twins.
 fn assert_identical(points: usize, cap: usize) {
     let (xs, ys) = synthetic(points, 0.5, 0.25, 0xC0_FFEE ^ points as u64);
@@ -83,6 +128,40 @@ fn assert_identical(points: usize, cap: usize) {
     let ragged = compute_ragged(&xs, &ys, &cfg).expect("ragged compute");
     assert_reports_identical(&streaming, &ragged, &format!("{points} points (cap {cap})"));
     println!("  {points:>5} points (cap {cap:>5}): all 17 measures bit-identical");
+}
+
+/// [`assert_identical`] on quantized `[CS, JS]` rows.
+fn assert_identical_quantized(points: usize) {
+    let (xs, ys) = cs_js_quantized(points, 0.3, 0xC515 ^ points as u64);
+    let cfg = cfg_with_cap(points);
+    let cells = compute(&xs, &ys, &cfg).expect("cell compute");
+    let ragged = compute_ragged(&xs, &ys, &cfg).expect("ragged compute");
+    assert_reports_identical(&cells, &ragged, &format!("{points} quantized points"));
+    println!(
+        "  {points:>5} [CS, JS] points ({} cells): all 17 measures bit-identical",
+        cell_count(&xs, &ys)
+    );
+}
+
+/// Times the cell path on quantized `[CS, JS]` rows.
+fn bench_quantized(h: &mut Harness, points: usize) -> Value {
+    let (xs, ys) = cs_js_quantized(points, 0.3, 0xC516 ^ points as u64);
+    let cfg = cfg_with_cap(points);
+    let cells = cell_count(&xs, &ys);
+    let stats = h.bench(
+        &format!("[CS, JS] compute, n={points}, {cells} cells"),
+        || black_box(compute(&xs, &ys, &cfg).unwrap()),
+    );
+    let mut fields = vec![
+        ("points".into(), Value::Num(points as f64)),
+        ("cells".into(), Value::Num(cells as f64)),
+        (
+            "median_ms".into(),
+            Value::Num(stats.median.as_secs_f64() * 1e3),
+        ),
+    ];
+    fields.extend(threads_metadata());
+    Value::Obj(fields)
 }
 
 fn assert_reports_identical(a: &ComplexityReport, b: &ComplexityReport, what: &str) {
@@ -144,6 +223,7 @@ fn sweep_threads(h: &mut Harness, points: usize) -> Vec<Value> {
     levels.dedup();
 
     let (xs, ys) = synthetic(points, 0.5, 0.25, 0xBE_7C ^ points as u64);
+    let cells = cell_count(&xs, &ys);
     let cfg = cfg_with_cap(points);
     let mut reference: Option<ComplexityReport> = None;
     let mut curve = Vec::new();
@@ -170,6 +250,7 @@ fn sweep_threads(h: &mut Harness, points: usize) -> Vec<Value> {
         }
         let mut entry = vec![
             ("points".into(), Value::Num(points as f64)),
+            ("cells".into(), Value::Num(cells as f64)),
             ("median_ms".into(), Value::Num(median_ms)),
             (
                 "points_per_sec".into(),
@@ -202,11 +283,17 @@ fn main() {
     for (points, cap) in [(400, 400), (1500, 1500), (5000, 1500)] {
         assert_identical(points, cap);
     }
+    for points in [400, 1500] {
+        assert_identical_quantized(points);
+    }
+
+    let sweep_points = env_points("RLB_BENCH_POINTS", BASELINE_POINTS);
+    group("quantized [CS, JS] throughput (cells)");
+    let quantized = bench_quantized(&mut h, sweep_points);
 
     group("streaming throughput (old default cap 1500)");
     let scales = vec![bench_scale(&mut h, 1500)];
 
-    let sweep_points = env_points("RLB_BENCH_POINTS", BASELINE_POINTS);
     group("thread scaling (exact run, report asserted identical per level)");
     let curve = sweep_threads(&mut h, sweep_points);
 
@@ -242,6 +329,7 @@ fn main() {
     let fields = vec![
         ("identical".into(), Value::Bool(true)),
         ("scales".into(), Value::Arr(scales)),
+        ("cs_js_quantized".into(), quantized),
         ("scaling_curve".into(), Value::Arr(curve)),
         ("recorded_baseline".into(), Value::Obj(baseline_fields)),
         ("tile_rows".into(), Value::Num(tile_rows as f64)),

@@ -22,6 +22,7 @@
 //! the Gower distance, matching the reference implementation.
 
 mod balance;
+mod cells;
 mod feature;
 mod linearity;
 mod neighborhood;
@@ -38,11 +39,10 @@ pub struct ComplexityConfig {
     pub epsilon: f64,
     /// Interpolated test points per original point for `n4`.
     pub n4_ratio: f64,
-    /// Subsample cap for the O(n²)-time measures; larger datasets are
-    /// sampled down deterministically (class-stratified). The streaming
-    /// [`DistanceEngine`] keeps distance memory at O(threads × n), so the
-    /// default admits full benchmark-sized candidate sets rather than the
-    /// old 1500-point cap the materialized matrix forced.
+    /// Subsample cap; larger datasets are sampled down deterministically
+    /// (class-stratified). Most distance work runs over distinct cells, but
+    /// `hub` still iterates per point (O(n × cells) bits per power
+    /// iteration), so the cap stays.
     pub max_points: usize,
     /// Seed for `n4` interpolation and subsampling.
     pub seed: u64,
@@ -170,7 +170,8 @@ impl ComplexityReport {
 
 /// Validates the input contract shared by [`compute`] and
 /// [`compute_ragged`]: at least 4 points, matching label length, a
-/// rectangular non-empty feature matrix, and both classes present.
+/// rectangular non-empty feature matrix of finite values, and both classes
+/// present.
 fn validate<R: AsRef<[f64]>>(features: &[R], labels: &[bool]) -> Result<usize> {
     if features.len() < 4 {
         return Err(Error::EmptyInput("complexity needs at least 4 points"));
@@ -186,6 +187,14 @@ fn validate<R: AsRef<[f64]>>(features: &[R], labels: &[bool]) -> Result<usize> {
     if dim == 0 || features.iter().any(|f| f.as_ref().len() != dim) {
         return Err(Error::InvalidParameter(
             "ragged or empty feature matrix".into(),
+        ));
+    }
+    if features
+        .iter()
+        .any(|f| f.as_ref().iter().any(|v| !v.is_finite()))
+    {
+        return Err(Error::InvalidParameter(
+            "features must be finite (no NaN or infinity)".into(),
         ));
     }
     if labels.iter().all(|&l| l) || labels.iter().all(|&l| !l) {
@@ -241,12 +250,15 @@ fn assemble(
 
 /// Computes all 17 measures over dense features and boolean labels.
 ///
-/// Requires at least 4 points and both classes present. Accepts any dense
-/// row type (`Vec<f64>`, `[f64; 2]`, …). Distance-based measure groups
-/// stream Gower rows out of a [`DistanceEngine`] tile by tile, so peak
-/// distance memory is O(threads × n) instead of the O(n²) a materialized
-/// matrix costs; [`compute_ragged`] is the materialized twin and produces
-/// byte-identical output.
+/// Requires at least 4 points, finite features and both classes present.
+/// Accepts any dense row type (`Vec<f64>`, `[f64; 2]`, …). The
+/// distance-based groups (neighborhood, network) run over the distinct
+/// `(features, label)` cells of the (possibly subsampled) rows: a
+/// [`DistanceEngine`] fitted on one representative per cell streams
+/// cell-to-cell Gower rows, and counts scale by multiplicities. The Gower
+/// ranges come from per-dimension min and max, which the representatives
+/// share with the full rows, so every distance keeps its bits and the
+/// output is bit-identical to the pointwise [`compute_ragged`].
 pub fn compute<R: AsRef<[f64]> + Sync + Clone>(
     features: &[R],
     labels: &[bool],
@@ -257,18 +269,21 @@ pub fn compute<R: AsRef<[f64]> + Sync + Clone>(
     rlb_obs::counter_add("complexity.points", features.len() as u64);
 
     let (xs, ys, c, f, l) = shared_measures(features, labels, cfg);
-    let engine = DistanceEngine::fit(&xs).expect("non-empty");
+    let cells = cells::Cells::group(&xs, &ys);
+    rlb_obs::counter_add("complexity.cells", cells.len() as u64);
+    let engine = DistanceEngine::fit(&cells.representatives(&xs)).expect("non-empty");
     let mut rng = Prng::seed_from_u64(cfg.seed ^ 0x4E4);
-    let nb = neighborhood::neighborhood_measures(&ys, &engine, cfg.n4_ratio, &mut rng);
-    let net = network::network_measures(&ys, &engine, cfg.epsilon);
+    let nb = neighborhood::neighborhood_measures(&xs, &ys, &cells, &engine, cfg.n4_ratio, &mut rng);
+    let net = network::network_measures(&cells, &engine, cfg.epsilon);
 
     Ok(assemble(c, f, l, nb, net))
 }
 
-/// The materialized O(n²)-memory twin of [`compute`]: builds the full
-/// ragged Gower distance matrix up front and hands it to the `*_ragged`
-/// measure implementations. Kept as the reference path for the byte-identity
-/// property suite and benchmarks; prefer [`compute`] everywhere else.
+/// The pointwise O(n²)-memory oracle for [`compute`]: builds the full
+/// point-to-point Gower distance matrix up front and hands it to the
+/// `*_ragged` measure implementations. Kept as the reference path for the
+/// bit-identity property suite and benchmarks (infeasible above a few
+/// thousand points); prefer [`compute`] everywhere else.
 pub fn compute_ragged<R: AsRef<[f64]> + Sync + Clone>(
     features: &[R],
     labels: &[bool],
@@ -302,9 +317,8 @@ pub fn compute_ragged<R: AsRef<[f64]> + Sync + Clone>(
 
 /// [`compute`] over the canonical `[CS, JS]` pair representation of Section
 /// III-B — the dense `[f64; 2]` rows the interned feature pipeline emits.
-/// A direct delegation: the dense rows feed the [`DistanceEngine`] as-is,
-/// with no intermediate `Vec<Vec<f64>>` materialization and no copying.
-/// Identical output to [`compute`] on the same values.
+/// A direct delegation with no intermediate `Vec<Vec<f64>>`
+/// materialization. Identical output to [`compute`] on the same values.
 pub fn compute_cs_js(
     features: &[[f64; 2]],
     labels: &[bool],
@@ -447,6 +461,26 @@ mod tests {
         assert!(compute(&xs, &[true, false], &cfg).is_err());
         assert!(compute_ragged::<Vec<f64>>(&[], &[], &cfg).is_err());
         assert!(compute_ragged(&xs, &[true; 4], &cfg).is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_features_in_both_twins() {
+        // Regression: a NaN or infinite coordinate used to pass validation
+        // and yield a finite, meaningless mean.
+        let cfg = ComplexityConfig::default();
+        let (base, ys) = separated(40, 0.5, 0.5, 21);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut xs = base.clone();
+            xs[7][1] = bad;
+            for result in [compute(&xs, &ys, &cfg), compute_ragged(&xs, &ys, &cfg)] {
+                match result {
+                    Err(Error::InvalidParameter(msg)) => assert!(msg.contains("finite")),
+                    other => panic!("{bad} accepted: {other:?}"),
+                }
+            }
+            let pairs: Vec<[f64; 2]> = xs.iter().map(|v| [v[0], v[1]]).collect();
+            assert!(compute_cs_js(&pairs, &ys, &cfg).is_err());
+        }
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Neighborhood measures `n1`, `n2`, `n3`, `n4`, `t1`, `lsc` over the Gower
 //! distance (Table I, group c).
 //!
-//! Two entry points share every per-row formula:
+//! Two entry points:
 //!
-//! - [`neighborhood_measures`] streams distance rows out of a
-//!   [`DistanceEngine`] — O(n) peak memory, the default;
-//! - [`neighborhood_measures_ragged`] scans a materialized `Vec<Vec<f64>>`
-//!   matrix — the O(n²) twin, kept (like `TokenSet` next to `IdSet`) so the
-//!   property suite can assert the streaming path bit-for-bit.
+//! - [`neighborhood_measures`] works on distinct `(features, label)` cells
+//!   ([`Cells`]): cell-to-cell distance rows stream out of a
+//!   [`DistanceEngine`] fitted on one representative per cell, and counts
+//!   scale by multiplicities;
+//! - [`neighborhood_measures_ragged`] scans a materialized point-to-point
+//!   `Vec<Vec<f64>>` matrix — the O(n²) oracle the property suite pins the
+//!   cell path against bit for bit.
 
+use crate::cells::Cells;
 use rlb_textsim::gower::{DistanceEngine, GowerSpace};
 use rlb_util::Prng;
 
@@ -23,8 +26,9 @@ pub struct NeighborhoodMeasures {
     pub lsc: f64,
 }
 
-/// Per-point nearest-neighbour scan of one distance row: `(nearest index,
-/// nearest same-class distance, nearest other-class distance)`.
+/// Per-point nearest-neighbour scan of one distance row of the ragged twin:
+/// `(nearest index, nearest same-class distance, nearest other-class
+/// distance)`; ties go to the lowest index.
 fn nn_scan(i: usize, row: &[f64], ys: &[bool]) -> (usize, f64, f64) {
     let mut any = usize::MAX;
     let mut best = f64::INFINITY;
@@ -79,7 +83,7 @@ fn n2_from_nn(nn_intra_d: &[f64], nn_extra_d: &[f64]) -> f64 {
     }
 }
 
-/// Fused `t1`/`lsc` scan of one distance row: `(sphere absorbed, local-set
+/// Fused `t1`/`lsc` scan of one ragged distance row: `(sphere absorbed, local-set
 /// cardinality)`. `enemy_d[i]` is the distance to point `i`'s nearest
 /// enemy — the sphere radius for `t1` and the local-set radius for `lsc`.
 fn t1_lsc_scan(i: usize, row: &[f64], enemy_d: &[f64]) -> (bool, usize) {
@@ -101,60 +105,237 @@ fn t1_lsc_scan(i: usize, row: &[f64], enemy_d: &[f64]) -> (bool, usize) {
     (absorbed, ls)
 }
 
-/// Folds the per-point scans into the final group (everything except the
-/// matrix walks themselves, shared by the streaming and ragged paths).
-fn finish(
+/// Nearest-neighbour facts of one cell, from its row of cell distances.
+#[derive(Debug, Clone, Copy)]
+struct CellNn {
+    /// Nearest other cell; ties go to the lowest first member, which is
+    /// the lowest point index among the tied cells.
+    near: usize,
+    /// Distance to `near`.
+    near_d: f64,
+    /// Nearest same-label other cell's distance (`∞` when there is none).
+    intra: f64,
+    /// Nearest other-label cell's distance (`∞` when there is none).
+    extra: f64,
+}
+
+fn cell_nn(c: usize, row: &[f64], cells: &Cells) -> CellNn {
+    let mut nn = CellNn {
+        near: usize::MAX,
+        near_d: f64::INFINITY,
+        intra: f64::INFINITY,
+        extra: f64::INFINITY,
+    };
+    let y = cells.label(c);
+    for (e, &d) in row.iter().enumerate() {
+        if e == c {
+            continue;
+        }
+        if nn.near == usize::MAX
+            || d < nn.near_d
+            || (d == nn.near_d && cells.first(e) < cells.first(nn.near))
+        {
+            nn.near = e;
+            nn.near_d = d;
+        }
+        if cells.label(e) == y {
+            nn.intra = nn.intra.min(d);
+        } else {
+            nn.extra = nn.extra.min(d);
+        }
+    }
+    nn
+}
+
+/// Fused `t1`/`lsc` over one cell's distance row: `(sphere absorbed,
+/// local-set cardinality)` of each of its members. `enemy[e]` is cell
+/// `e`'s nearest-enemy distance; cell mates sit at distance `0.0`.
+fn cell_t1_lsc(c: usize, row: &[f64], cells: &Cells, enemy: &[f64]) -> (bool, usize) {
+    let r = enemy[c];
+    let count_ls = r.is_finite();
+    let mut absorbed = false;
+    let mut ls = 0usize;
+    if cells.mult(c) >= 2 {
+        let d = 0.0;
+        absorbed = r.is_finite() && d + r <= r + 1e-12;
+        if count_ls && d < r {
+            ls += cells.mult(c) - 1;
+        }
+    }
+    for (e, &d) in row.iter().enumerate() {
+        if e == c {
+            continue;
+        }
+        if !absorbed && enemy[e].is_finite() && d + r <= enemy[e] + 1e-12 {
+            absorbed = true;
+        }
+        if count_ls && d < r {
+            ls += cells.mult(e);
+        }
+    }
+    (absorbed, ls)
+}
+
+/// Computes the whole group over distinct cells: distance rows stream out
+/// of an engine fitted on the cell representatives, counts scale by
+/// multiplicities, and every value is bit-identical to
+/// [`neighborhood_measures_ragged`] on the points themselves.
+///
+/// `xs`/`ys` are the points (`n4` interpolates between original points);
+/// `engine` holds one representative per cell in `cells` order.
+pub fn neighborhood_measures<R: AsRef<[f64]>>(
+    xs: &[R],
     ys: &[bool],
-    nn: &[(usize, f64, f64)],
-    n1: f64,
-    n4: f64,
-    t1_lsc: &[(bool, usize)],
+    cells: &Cells,
+    engine: &DistanceEngine,
+    n4_ratio: f64,
+    rng: &mut Prng,
 ) -> NeighborhoodMeasures {
     let n = ys.len();
-    let nn_intra_d: Vec<f64> = nn.iter().map(|&(_, d, _)| d).collect();
-    let nn_extra_d: Vec<f64> = nn.iter().map(|&(_, _, d)| d).collect();
+    let nn = engine.map_rows(|c, row| cell_nn(c, row, cells));
+
+    // n2 sums per-point f64s, so it stays in point order. A point with a
+    // cell mate has a same-class neighbour at distance 0.
+    let nn_intra_d: Vec<f64> = (0..n)
+        .map(|i| {
+            let c = cells.of(i);
+            if cells.mult(c) >= 2 {
+                0.0
+            } else {
+                nn[c].intra
+            }
+        })
+        .collect();
+    let nn_extra_d: Vec<f64> = (0..n).map(|i| nn[cells.of(i)].extra).collect();
     let n2 = n2_from_nn(&nn_intra_d, &nn_extra_d);
-    let n3 = {
-        let errors = (0..n).filter(|&i| ys[nn[i].0] != ys[i]).count();
-        errors as f64 / n as f64
-    };
-    let kept = t1_lsc.iter().filter(|&&(absorbed, _)| !absorbed).count();
-    let t1 = kept as f64 / n as f64;
-    let ls_total: usize = t1_lsc.iter().map(|&(_, ls)| ls).sum();
-    let lsc = 1.0 - ls_total as f64 / (n * n) as f64;
+
+    // n3: point i's 1-NN is its lowest-index cell mate (distance 0) unless
+    // the nearest other cell is also at distance 0 with a lower first
+    // member; a point without mates takes the nearest other cell.
+    let errors = (0..n)
+        .filter(|&i| {
+            let c = cells.of(i);
+            let CellNn { near, near_d, .. } = nn[c];
+            let mate = cells.members(c).iter().copied().find(|&j| j != i);
+            let other_wins = match mate {
+                None => true,
+                Some(j) => near_d == 0.0 && cells.first(near) < j,
+            };
+            other_wins && cells.label(near) != cells.label(c)
+        })
+        .count();
+    let n3 = errors as f64 / n as f64;
+
+    let n1 = n1_prim_cells(cells, engine);
+
+    let points: Vec<&[f64]> = xs.iter().map(|x| x.as_ref()).collect();
+    let n4 = n4_interpolated(&points, ys, n4_ratio, rng, |q| {
+        let mut buf = vec![0.0; engine.len()];
+        engine.query_row_into(q, &mut buf);
+        cells.label(nearest_cell(&buf, cells))
+    });
+
+    let enemy: Vec<f64> = nn.iter().map(|c| c.extra).collect();
+    let t1_lsc = engine.map_rows(|c, row| cell_t1_lsc(c, row, cells, &enemy));
+    let mut kept = 0usize;
+    let mut ls_total = 0usize;
+    for (c, &(absorbed, ls)) in t1_lsc.iter().enumerate() {
+        kept += if absorbed { 0 } else { cells.mult(c) };
+        ls_total += cells.mult(c) * ls;
+    }
     NeighborhoodMeasures {
         n1,
         n2,
         n3,
         n4,
-        t1,
-        lsc,
+        t1: kept as f64 / n as f64,
+        lsc: 1.0 - ls_total as f64 / (n * n) as f64,
     }
 }
 
-/// Computes the whole group by streaming distance rows out of the engine —
-/// O(n) peak memory.
-pub fn neighborhood_measures(
-    ys: &[bool],
-    engine: &DistanceEngine,
-    n4_ratio: f64,
-    rng: &mut Prng,
-) -> NeighborhoodMeasures {
-    let n = engine.len();
-    let nn = engine.map_rows(|i, row| nn_scan(i, row, ys));
-    let nn_extra_d: Vec<f64> = nn.iter().map(|&(_, _, d)| d).collect();
-    let n1 = n1_mst(ys, engine);
-    let points: Vec<&[f64]> = (0..n).map(|i| engine.point(i)).collect();
-    // Classify each synthetic point through the chunked columnar kernel; the
-    // per-pair FP op order matches `GowerSpace::distance` exactly, so the
-    // argmin (and thus n4) is bit-identical to the ragged twin's scalar scan.
-    let n4 = n4_interpolated(&points, ys, n4_ratio, rng, |q| {
-        let mut buf = vec![0.0; n];
-        engine.query_row_into(q, &mut buf);
-        argmin(&buf)
-    });
-    let t1_lsc = engine.map_rows(|i, row| t1_lsc_scan(i, row, &nn_extra_d));
-    finish(ys, &nn, n1, n4, &t1_lsc)
+/// The cell holding the 1-NN of a query: minimal distance, ties to the
+/// lowest first member — the point the ascending strictly-less scan over
+/// points would have returned.
+fn nearest_cell(row: &[f64], cells: &Cells) -> usize {
+    let mut best = 0usize;
+    let mut best_d = f64::INFINITY;
+    for (e, &d) in row.iter().enumerate() {
+        if d < best_d || (d == best_d && cells.first(e) < cells.first(best)) {
+            best_d = d;
+            best = e;
+        }
+    }
+    best
+}
+
+/// `n1` by replaying [`n1_mst_ragged`]'s Prim over cells. Unpicked members of a cell
+/// always share `best_d` and `best_from` (every row gives them the same
+/// distance), so each cell keeps one frontier entry plus `cand`, its
+/// lowest unpicked member. The next pick is the lowest `cand` among the
+/// minimal cells, exactly the point Prim's ascending scan picks. Only a
+/// cell's first pick can lower another cell's `best_d` (later picks offer
+/// the same distances again), so one engine row per cell is computed, and
+/// a pick's cell mates drop to distance 0.
+fn n1_prim_cells(cells: &Cells, engine: &DistanceEngine) -> f64 {
+    let n = cells.points();
+    let k = cells.len();
+    let mut row = vec![0.0; k];
+    let mut best_d = vec![f64::INFINITY; k];
+    let mut best_from = vec![0usize; k];
+    // Members of each cell already in the tree; `cand` is the next one,
+    // or usize::MAX (with an infinite `best_d`) once all are.
+    let mut taken = vec![0usize; k];
+    let mut cand: Vec<usize> = (0..k).map(|c| cells.first(c)).collect();
+    let mut expanded = vec![false; k];
+    let mut borderline = vec![false; n];
+    let mut pick = 0usize;
+    let mut pick_cell = cells.of(0);
+    for step in 0..n {
+        if step > 0 {
+            let mut pick_d = f64::INFINITY;
+            pick = usize::MAX;
+            for c in 0..k {
+                let d = best_d[c];
+                if d < pick_d || (d == pick_d && cand[c] < pick) {
+                    pick_d = d;
+                    pick = cand[c];
+                    pick_cell = c;
+                }
+            }
+            if pick == usize::MAX {
+                break;
+            }
+            let from = best_from[pick_cell];
+            if cells.label(pick_cell) != cells.label(cells.of(from)) {
+                borderline[pick] = true;
+                borderline[from] = true;
+            }
+        }
+        let p = pick_cell;
+        taken[p] += 1;
+        match cells.members(p).get(taken[p]) {
+            Some(&j) => cand[p] = j,
+            None => {
+                cand[p] = usize::MAX;
+                best_d[p] = f64::INFINITY;
+            }
+        }
+        if cand[p] != usize::MAX && 0.0 < best_d[p] {
+            best_d[p] = 0.0;
+            best_from[p] = pick;
+        }
+        if !expanded[p] {
+            expanded[p] = true;
+            engine.row_into_par(p, &mut row);
+            for e in 0..k {
+                if e != p && cand[e] != usize::MAX && row[e] < best_d[e] {
+                    best_d[e] = row[e];
+                    best_from[e] = pick;
+                }
+            }
+        }
+    }
+    borderline.iter().filter(|&&b| b).count() as f64 / n as f64
 }
 
 /// Computes the whole group from a precomputed pairwise distance matrix —
@@ -182,31 +363,38 @@ pub fn neighborhood_measures_ragged<R: AsRef<[f64]> + Sync>(
                 best_j = j;
             }
         }
-        best_j
+        ys[best_j]
     });
     let t1_lsc = rlb_util::par::par_map_range(n, |i| t1_lsc_scan(i, &dists[i], &nn_extra_d));
-    finish(ys, &nn, n1, n4, &t1_lsc)
+    let nn_intra_d: Vec<f64> = nn.iter().map(|&(_, d, _)| d).collect();
+    let errors = (0..n).filter(|&i| ys[nn[i].0] != ys[i]).count();
+    let kept = t1_lsc.iter().filter(|&&(absorbed, _)| !absorbed).count();
+    let ls_total: usize = t1_lsc.iter().map(|&(_, ls)| ls).sum();
+    NeighborhoodMeasures {
+        n1,
+        n2: n2_from_nn(&nn_intra_d, &nn_extra_d),
+        n3: errors as f64 / n as f64,
+        n4,
+        t1: kept as f64 / n as f64,
+        lsc: 1.0 - ls_total as f64 / (n * n) as f64,
+    }
 }
 
 /// `n1`: fraction of points incident to an MST edge connecting the two
-/// classes (borderline points). Prim's algorithm over one reusable O(n) row
-/// buffer, shared by both layouts via a fill-row closure. Each node's row
-/// is consumed exactly once (when the node is picked), so the streaming
-/// path does the same total distance work as a full materialization — with
-/// O(n) peak memory instead of O(n²).
-fn n1_prim(ys: &[bool], mut fill_row: impl FnMut(usize, &mut [f64])) -> f64 {
+/// classes (borderline points), by Prim's algorithm from point 0 over the
+/// materialized matrix. Each pick takes the lowest-index point among the
+/// minimal frontier distances — the order [`n1_prim_cells`] replays.
+fn n1_mst_ragged(ys: &[bool], dists: &[Vec<f64>]) -> f64 {
     let n = ys.len();
     if n < 2 {
         return 0.0;
     }
-    let mut row = vec![0.0; n];
     let mut in_tree = vec![false; n];
     let mut best_d = vec![f64::INFINITY; n];
     let mut best_from = vec![0usize; n];
     let mut borderline = vec![false; n];
     in_tree[0] = true;
-    fill_row(0, &mut row);
-    best_d[1..n].copy_from_slice(&row[1..n]);
+    best_d[1..n].copy_from_slice(&dists[0][1..n]);
     for _ in 1..n {
         let mut pick = usize::MAX;
         let mut pick_d = f64::INFINITY;
@@ -225,7 +413,7 @@ fn n1_prim(ys: &[bool], mut fill_row: impl FnMut(usize, &mut [f64])) -> f64 {
             borderline[pick] = true;
             borderline[from] = true;
         }
-        fill_row(pick, &mut row);
+        let row = &dists[pick];
         for j in 0..n {
             if !in_tree[j] && row[j] < best_d[j] {
                 best_d[j] = row[j];
@@ -236,45 +424,19 @@ fn n1_prim(ys: &[bool], mut fill_row: impl FnMut(usize, &mut [f64])) -> f64 {
     borderline.iter().filter(|&&b| b).count() as f64 / n as f64
 }
 
-/// Streaming `n1`: Prim over on-the-fly engine rows. The frontier row is
-/// the only distance work per step, so it is filled by all workers in
-/// disjoint spans (`row_into_par`) — span boundaries cannot change bits.
-fn n1_mst(ys: &[bool], engine: &DistanceEngine) -> f64 {
-    n1_prim(ys, |i, buf| engine.row_into_par(i, buf))
-}
-
-/// Ragged `n1` twin over the materialized matrix.
-fn n1_mst_ragged(ys: &[bool], dists: &[Vec<f64>]) -> f64 {
-    n1_prim(ys, |i, buf| buf.copy_from_slice(&dists[i]))
-}
-
-/// First strict minimum of a distance row — the 1-NN index under the
-/// ascending-`j`, strictly-less-wins scan both n4 twins share.
-fn argmin(row: &[f64]) -> usize {
-    let mut best_j = 0usize;
-    let mut best_d = f64::INFINITY;
-    for (j, &d) in row.iter().enumerate() {
-        if d < best_d {
-            best_d = d;
-            best_j = j;
-        }
-    }
-    best_j
-}
-
 /// `n4`: 1-NN error on synthetic points interpolated between random
-/// same-class pairs. The synthetic points are drawn sequentially (the
-/// `Prng` stream defines them), then classified in parallel by `nearest`,
-/// which maps a query point to the index of its nearest original. Both
-/// layouts plug in a `nearest` with identical distance bits and identical
-/// argmin tie-breaking (ascending scan, strictly-less wins), so the
-/// measure is layout-independent.
+/// same-class pairs of original points. The synthetic points are drawn
+/// sequentially (the `Prng` stream defines them), then classified in
+/// parallel by `classify`, which returns the label of a query point's
+/// nearest original. Both twins plug in a `classify` with identical
+/// distance bits and identical tie-breaking (the lowest point index among
+/// the minimal distances), so the measure is layout-independent.
 fn n4_interpolated(
     points: &[&[f64]],
     ys: &[bool],
     ratio: f64,
     rng: &mut Prng,
-    nearest: impl Fn(&[f64]) -> usize + Sync,
+    classify: impl Fn(&[f64]) -> bool + Sync,
 ) -> f64 {
     let n = points.len();
     let n_new = ((n as f64 * ratio).round() as usize).max(1);
@@ -297,7 +459,7 @@ fn n4_interpolated(
         return 0.0;
     }
     let errors: usize = rlb_util::par::par_map(&synth, |(point, class_pos)| {
-        usize::from(ys[nearest(point)] != *class_pos)
+        usize::from(classify(point) != *class_pos)
     })
     .into_iter()
     .sum();
@@ -315,30 +477,31 @@ mod tests {
         ratio: f64,
         seed: u64,
     ) -> (NeighborhoodMeasures, NeighborhoodMeasures) {
-        let engine = DistanceEngine::fit(xs).unwrap();
+        let cells = Cells::group(xs, ys);
+        let engine = DistanceEngine::fit(&cells.representatives(xs)).unwrap();
         let mut rng = Prng::seed_from_u64(seed);
-        let streaming = neighborhood_measures(ys, &engine, ratio, &mut rng);
+        let cell = neighborhood_measures(xs, ys, &cells, &engine, ratio, &mut rng);
         let gower = GowerSpace::fit(xs).unwrap();
         let dists = gower.pairwise(xs);
         let mut rng = Prng::seed_from_u64(seed);
         let ragged = neighborhood_measures_ragged(xs, ys, &dists, &gower, ratio, &mut rng);
-        (streaming, ragged)
+        (cell, ragged)
     }
 
     fn run(overlap: f64, seed: u64) -> NeighborhoodMeasures {
         let (xs, ys) = separated(250, overlap, 0.4, seed);
-        let (streaming, ragged) = both(&xs, &ys, 1.0, seed);
+        let (cell, ragged) = both(&xs, &ys, 1.0, seed);
         for (s, r) in [
-            (streaming.n1, ragged.n1),
-            (streaming.n2, ragged.n2),
-            (streaming.n3, ragged.n3),
-            (streaming.n4, ragged.n4),
-            (streaming.t1, ragged.t1),
-            (streaming.lsc, ragged.lsc),
+            (cell.n1, ragged.n1),
+            (cell.n2, ragged.n2),
+            (cell.n3, ragged.n3),
+            (cell.n4, ragged.n4),
+            (cell.t1, ragged.t1),
+            (cell.lsc, ragged.lsc),
         ] {
-            assert_eq!(s.to_bits(), r.to_bits(), "streaming vs ragged");
+            assert_eq!(s.to_bits(), r.to_bits(), "cells vs ragged");
         }
-        streaming
+        cell
     }
 
     #[test]
@@ -377,8 +540,9 @@ mod tests {
         // MST, touching 2 of 4 points.
         let ys = vec![false, false, true, true];
         let xs = vec![vec![0.0], vec![0.1], vec![0.6], vec![0.7]];
-        let engine = DistanceEngine::fit(&xs).unwrap();
-        assert!((n1_mst(&ys, &engine) - 0.5).abs() < 1e-12);
+        let cells = Cells::group(&xs, &ys);
+        let engine = DistanceEngine::fit(&cells.representatives(&xs)).unwrap();
+        assert!((n1_prim_cells(&cells, &engine) - 0.5).abs() < 1e-12);
         let dists = engine.space().pairwise(&xs);
         assert!((n1_mst_ragged(&ys, &dists) - 0.5).abs() < 1e-12);
     }
@@ -395,9 +559,10 @@ mod tests {
             xs.push(vec![1.0 + i as f64 * 1e-4]);
             ys.push(false);
         }
-        let engine = DistanceEngine::fit(&xs).unwrap();
+        let cells = Cells::group(&xs, &ys);
+        let engine = DistanceEngine::fit(&cells.representatives(&xs)).unwrap();
         let mut rng = Prng::seed_from_u64(1);
-        let m = neighborhood_measures(&ys, &engine, 0.5, &mut rng);
+        let m = neighborhood_measures(&xs, &ys, &cells, &engine, 0.5, &mut rng);
         assert!(m.t1 < 0.2, "t1 {}", m.t1);
     }
 
@@ -408,16 +573,16 @@ mod tests {
         // distance to the denominator either.
         let xs = vec![vec![0.0], vec![0.5], vec![0.6], vec![0.7], vec![1.0]];
         let ys = vec![true, false, false, false, false];
-        let (streaming, ragged) = both(&xs, &ys, 1.0, 4);
+        let (cell, ragged) = both(&xs, &ys, 1.0, 4);
         // Remaining points: intra 0.1+0.1+0.1+0.3 = 0.6, extra
         // 0.5+0.6+0.7+1.0 = 2.8 → n2 = (0.6/2.8)/(1+0.6/2.8) = 0.6/3.4.
         let expected = 0.6 / 3.4;
         assert!(
-            (streaming.n2 - expected).abs() < 1e-9,
+            (cell.n2 - expected).abs() < 1e-9,
             "n2 {} vs {expected}",
-            streaming.n2
+            cell.n2
         );
-        assert_eq!(streaming.n2.to_bits(), ragged.n2.to_bits());
+        assert_eq!(cell.n2.to_bits(), ragged.n2.to_bits());
     }
 
     #[test]

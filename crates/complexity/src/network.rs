@@ -6,74 +6,62 @@
 //! description). All three measures are reported complexity-oriented
 //! (`1 − value`), following `problexity`.
 //!
-//! [`network_measures`] streams distance rows out of a [`DistanceEngine`]
-//! into packed bitset adjacency (2·n²/8 bytes: one copy in original node
-//! order for the hub power iteration, one in cluster-sorted order for
-//! triangle counting — dense ε-graphs at the 20 000-point default cap have
-//! average degree in the thousands, where per-edge neighbour-list
-//! intersection is intractable); [`network_measures_ragged`] is the
-//! materialized O(n²)-distance, adjacency-list twin. Both count the
-//! identical integer edge/triangle quantities and accumulate the same f64
-//! operations in the same order, so every value is byte-identical.
+//! [`network_measures`] works on distinct `(features, label)` cells
+//! ([`Cells`]). Members of one cell are at distance 0, so (for `ε > 0`)
+//! they form a clique and share every other neighbour; a cell-level
+//! adjacency bitset (`k` bits per cell, no self bit) plus multiplicities
+//! gives every edge and closed-pair count as an exact integer.
+//! [`network_measures_ragged`] is the materialized O(n²)-distance,
+//! adjacency-list oracle over points; both produce the same integers and
+//! accumulate the same f64 operations in the same order, so every value
+//! is bit-identical.
 //!
-//! The cluster-sorted relabeling exploits ε-graph geometry: Gower distance
-//! `< ε` bounds every per-dimension normalized difference by `ε · dims`, so
-//! after sorting nodes by (class, key-dimension value) each node's
-//! neighbourhood occupies a narrow contiguous band of ranks. Bitset rows in
-//! that space are short runs of nonzero words; intersecting only the
-//! overlap of two rows' nonzero spans (and only bits above the iterated
-//! endpoint, counting each closed pair once instead of twice) turns the
-//! full-stride AND-popcount into a banded one. Triangle counts are
-//! integers, so the relabeling cannot change a single output bit.
+//! Cells are ordered by `(label, features)`, so a cell's ε-neighbours sit
+//! in a narrow band of cell indices (Gower distance `< ε` bounds every
+//! per-dimension normalized difference by `ε · dims`): the closed-pair
+//! sweep intersects only the overlap of two rows' nonzero word spans.
+//!
+//! `hub` stays per point: a member's power-iteration sum runs over its
+//! cell's neighbour points except itself, so members of one cell can
+//! differ in the last bits. One point-level bitset row per cell drives
+//! it, and all members of a cell advance in lockstep over that row.
 
+use crate::cells::Cells;
 use rlb_textsim::gower::DistanceEngine;
+use std::ops::Range;
 
-/// Consecutive ranks per block in the clustering sweep: large enough to
-/// amortize each `ru` slice load across the block's rows (consecutive ranks
-/// share most of their neighbourhood), small enough that the block's own
-/// rows stay cache-resident.
-const CLS_BLOCK: usize = 64;
-
-/// Computes `(den, cls, hub)` by streaming distance rows out of the engine.
-pub fn network_measures(ys: &[bool], engine: &DistanceEngine, epsilon: f64) -> (f64, f64, f64) {
-    let n = ys.len();
-    let stride = n.div_ceil(64);
-    let rank = cluster_rank(ys, engine);
-    // Row i's same-class ε-neighbours as bitsets in both labelings. The
-    // predicate is symmetric and the diagonal is excluded, so both matrices
-    // are symmetric by construction — no assembly pass needed.
-    let built: Vec<(Vec<u64>, Vec<u64>)> = engine.map_rows(|i, row| {
-        let mut bits = vec![0u64; stride];
-        let mut sorted = vec![0u64; stride];
-        for (j, (&d, &yj)) in row.iter().zip(ys).enumerate() {
-            if j != i && d < epsilon && yj == ys[i] {
-                bits[j / 64] |= 1 << (j % 64);
-                let r = rank[j];
-                sorted[r / 64] |= 1 << (r % 64);
+/// Computes `(den, cls, hub)` over the cells; `engine` holds one
+/// representative per cell in `cells` order.
+pub fn network_measures(cells: &Cells, engine: &DistanceEngine, epsilon: f64) -> (f64, f64, f64) {
+    let n = cells.points();
+    let k = cells.len();
+    // Cell mates are at distance 0: adjacent to each other iff 0 < ε.
+    let mates = 0.0 < epsilon;
+    // Same-label ε-neighbour cells of each cell, as a k-bit row without
+    // the self bit. The predicate is symmetric, so the matrix is too.
+    // One contiguous allocation keeps band-adjacent rows physically
+    // adjacent, which the blocked closed-pair sweep relies on.
+    let stride = k.div_ceil(64);
+    let words = engine
+        .map_rows(|c, row| {
+            let mut bits = vec![0u64; stride];
+            for (e, &d) in row.iter().enumerate() {
+                if e != c && d < epsilon && cells.label(e) == cells.label(c) {
+                    bits[e / 64] |= 1 << (e % 64);
+                }
             }
-        }
-        (bits, sorted)
-    });
-    let mut rows: Vec<Vec<u64>> = Vec::with_capacity(n);
-    // Contiguous rank-major bit matrix: row r at `smat[r*stride..]`. One
-    // allocation keeps band-adjacent rows physically adjacent, which the
-    // blocked intersection sweep below depends on for prefetch locality.
-    let mut smat = vec![0u64; n * stride];
-    for (i, (orig, sorted)) in built.into_iter().enumerate() {
-        smat[rank[i] * stride..(rank[i] + 1) * stride].copy_from_slice(&sorted);
-        rows.push(orig);
-    }
-    // Nonzero-word span per sorted-space row: the "band" the intersection
-    // loop below is allowed to skip outside of. Empty rows get an empty
-    // span (lo > hi).
-    let spans: Vec<(usize, usize)> = smat.chunks_exact(stride.max(1)).map(word_span).collect();
-
-    let degrees: Vec<usize> = rows
-        .iter()
-        .map(|r| r.iter().map(|w| w.count_ones() as usize).sum())
+            bits
+        })
+        .concat();
+    let adj = BitMatrix { words, stride };
+    // Neighbour points of each cell's members from other cells.
+    let outside: Vec<usize> = (0..k)
+        .map(|c| iter_bits(adj.row(c)).map(|e| cells.mult(e)).sum())
         .collect();
-    let edges = degrees.iter().sum::<usize>() / 2;
+    let own = |c: usize| if mates { cells.mult(c) - 1 } else { 0 };
+    let degree = |c: usize| own(c) + outside[c];
 
+    let edges = (0..k).map(|c| cells.mult(c) * degree(c)).sum::<usize>() / 2;
     let possible = n * (n - 1) / 2;
     let den = if possible == 0 {
         1.0
@@ -81,196 +69,181 @@ pub fn network_measures(ys: &[bool], engine: &DistanceEngine, epsilon: f64) -> (
         1.0 - edges as f64 / possible as f64
     };
 
-    // cls = 1 − mean local clustering coefficient. For node i, each closed
-    // neighbour pair {u, v} ⊆ N(i) is counted exactly once: iterating the
-    // lower endpoint u and popcounting only intersection bits strictly
-    // above u. The count matches the ragged twin's per-pair edge lookups as
-    // an integer, so the f64 contribution is bit-identical.
-    //
-    // The scan runs in *rank* order: consecutive ranks share most of their
-    // neighbourhood band, so the `ru` rows a node intersects are the ones
-    // its predecessor just touched — the whole band stays cache-resident
-    // instead of being refetched per node.
-    let nblocks = n.div_ceil(CLS_BLOCK);
-    let closed_blocks: Vec<Vec<usize>> = rlb_util::par::par_map_range(nblocks, |blk| {
-        let b0 = blk * CLS_BLOCK;
-        let b1 = (b0 + CLS_BLOCK).min(n);
-        let mut closed = vec![0usize; b1 - b0];
-        // Union of the block rows' bands: every neighbour of every row in
-        // the block lives inside it.
+    // cls = 1 − mean local clustering coefficient. A member of cell c has
+    // own(c) mates and the members of its neighbour cells S as neighbours;
+    // its closed neighbour pairs are mate–mate and mate–S pairs (all
+    // adjacent), pairs inside one neighbour cell (adjacent iff mates), and
+    // pairs across two adjacent neighbour cells (`across`).
+    let across = closed_across(cells, &adj);
+    let pairs2 = |m: usize| m * m.saturating_sub(1) / 2;
+    let local: Vec<f64> = (0..k)
+        .map(|c| {
+            let kd = degree(c);
+            if kd < 2 {
+                return 0.0;
+            }
+            let mut closed = across[c];
+            if mates {
+                closed += pairs2(own(c)) + own(c) * outside[c];
+                closed += iter_bits(adj.row(c))
+                    .map(|e| pairs2(cells.mult(e)))
+                    .sum::<usize>();
+            }
+            closed as f64 / (kd * (kd - 1) / 2) as f64
+        })
+        .collect();
+    // Per-point f64 contributions, summed in ascending point order like
+    // the oracle's.
+    let mut cls_sum = 0.0;
+    for i in 0..n {
+        let c = cells.of(i);
+        if degree(c) >= 2 {
+            cls_sum += local[c];
+        }
+    }
+    let cls = 1.0 - cls_sum / n as f64;
+
+    let hub = hub_cells(cells, &adj, mates);
+    (den, cls, hub)
+}
+
+/// Multiplicity-weighted sums over cell bitsets: `Σ m_f` over a set of
+/// cells is its popcount plus `2^b ×` its popcount under bit plane `b` of
+/// `m_f − 1`. Planes are usually sparse (a few duplicated rows among many
+/// distinct ones), so each keeps the span of its nonzero words and only
+/// the overlap with that span is scanned; all-distinct input has no planes.
+struct Weights {
+    /// `(plane words, nonzero word span)` per bit of `m_f − 1`.
+    planes: Vec<(Vec<u64>, (usize, usize))>,
+}
+
+impl Weights {
+    fn of(cells: &Cells) -> Weights {
+        let k = cells.len();
+        let top = (0..k).map(|c| cells.mult(c) - 1).max().unwrap_or(0);
+        let planes = (0..usize::BITS - top.leading_zeros())
+            .map(|b| {
+                let mut plane = vec![0u64; k.div_ceil(64)];
+                for c in (0..k).filter(|&c| (cells.mult(c) - 1) >> b & 1 == 1) {
+                    plane[c / 64] |= 1 << (c % 64);
+                }
+                let span = word_span(&plane);
+                (plane, span)
+            })
+            .collect();
+        Weights { planes }
+    }
+
+    /// `Σ m_f` over the set bits of `a & b`, two equal-length slices of
+    /// cell rows that start at word `lo`.
+    fn sum_and(&self, a: &[u64], b: &[u64], lo: usize) -> usize {
+        let mut s = and_popcount(a, b);
+        for (bit, (plane, (plo, phi))) in self.planes.iter().enumerate() {
+            let from = lo.max(*plo);
+            let to = (lo + a.len()).min(phi + 1);
+            if from < to {
+                let (a, b) = (&a[from - lo..to - lo], &b[from - lo..to - lo]);
+                s += and_popcount3(a, b, &plane[from..to]) << bit;
+            }
+        }
+        s
+    }
+}
+
+/// Set bits of `a & b`.
+fn and_popcount(a: &[u64], b: &[u64]) -> usize {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x & y).count_ones() as usize)
+        .sum()
+}
+
+/// Set bits of `a & b & c`.
+fn and_popcount3(a: &[u64], b: &[u64], c: &[u64]) -> usize {
+    a.iter()
+        .zip(b)
+        .zip(c)
+        .map(|((x, y), z)| (x & y & z).count_ones() as usize)
+        .sum()
+}
+
+/// Row-major packed bit matrix: row `r` is `words[r * stride..][..stride]`.
+struct BitMatrix {
+    words: Vec<u64>,
+    stride: usize,
+}
+
+impl BitMatrix {
+    fn row(&self, r: usize) -> &[u64] {
+        &self.words[r * self.stride..(r + 1) * self.stride]
+    }
+}
+
+/// Consecutive cells per block in the closed-pair sweep: large enough to
+/// amortize each neighbour row's load across the block's rows (consecutive
+/// cells share most of their neighbourhood), small enough that the block's
+/// own rows stay cache-resident.
+const CLS_BLOCK: usize = 64;
+
+/// For every cell c, `Σ m_e · m_f` over pairs `e < f` of c's neighbour
+/// cells that are adjacent to each other: each pair is counted once, from
+/// its lower cell `e`, by intersecting the rows of c and e above bit `e`
+/// within the overlap of their nonzero word spans. Blocks of consecutive
+/// cells walk the union of their bands together, so each neighbour row is
+/// fetched once per block rather than once per cell.
+fn closed_across(cells: &Cells, adj: &BitMatrix) -> Vec<usize> {
+    let k = cells.len();
+    let weights = Weights::of(cells);
+    let spans: Vec<(usize, usize)> = (0..k).map(|c| word_span(adj.row(c))).collect();
+    let blocks = rlb_util::par::par_map_range(k.div_ceil(CLS_BLOCK), |blk| {
+        let cs = blk * CLS_BLOCK..((blk + 1) * CLS_BLOCK).min(k);
+        let mut closed = vec![0usize; cs.len()];
         let (mut blo, mut bhi) = (usize::MAX, 0usize);
-        for &(lo, hi) in &spans[b0..b1] {
+        for &(lo, hi) in &spans[cs.clone()] {
             if lo <= hi {
                 blo = blo.min(lo);
                 bhi = bhi.max(hi);
             }
         }
         if blo > bhi {
-            return closed; // every row in the block is isolated
+            return closed; // every cell in the block is isolated
         }
-        for u in blo * 64..((bhi + 1) * 64).min(n) {
-            let (ulo, uhi) = spans[u];
-            if ulo > uhi {
+        for e in blo * 64..((bhi + 1) * 64).min(k) {
+            let (elo, ehi) = spans[e];
+            if elo > ehi {
                 continue;
             }
-            let uw = u / 64;
-            let ubit = 1u64 << (u % 64);
-            let above = above_bit_mask(u % 64);
-            let ru = &smat[u * stride..(u + 1) * stride];
-            for (slot, r) in (b0..b1).enumerate() {
-                let ri = &smat[r * stride..(r + 1) * stride];
-                if ri[uw] & ubit == 0 {
-                    continue; // u is not a neighbour of r
+            let ew = e / 64;
+            let ebit = 1u64 << (e % 64);
+            let re = adj.row(e);
+            for (slot, c) in cs.clone().enumerate() {
+                let rc = adj.row(c);
+                if rc[ew] & ebit == 0 {
+                    continue; // e is not a neighbour of c
                 }
-                let (ilo, ihi) = spans[r];
-                let lo = ilo.max(ulo).max(uw);
-                let hi = ihi.min(uhi);
+                let (clo, chi) = spans[c];
+                let lo = clo.max(elo).max(ew);
+                let hi = chi.min(ehi);
                 if lo > hi {
                     continue;
                 }
-                // lo >= uw by construction, so u's own word needs masking
-                // only when it opens the overlap; the rest is a straight
-                // slice zip the optimizer turns into branch-free
-                // AND+popcount.
-                let ri_s = &ri[lo..=hi];
-                let ru_s = &ru[lo..=hi];
-                let mut skip = 0;
-                if lo == uw {
-                    closed[slot] += (ri_s[0] & ru_s[0] & above).count_ones() as usize;
-                    skip = 1;
+                // Word `ew` holds e itself: only the bits above it count.
+                let mut from = lo;
+                let mut s = 0;
+                if lo == ew {
+                    let above = [rc[ew] & above_bit_mask(e % 64)];
+                    s += weights.sum_and(&above, &re[ew..=ew], ew);
+                    from += 1;
                 }
-                closed[slot] += ri_s[skip..]
-                    .iter()
-                    .zip(&ru_s[skip..])
-                    .map(|(a, b)| (a & b).count_ones() as usize)
-                    .sum::<usize>();
+                if from <= hi {
+                    s += weights.sum_and(&rc[from..=hi], &re[from..=hi], from);
+                }
+                closed[slot] += cells.mult(e) * s;
             }
         }
         closed
     });
-    let mut by_rank: Vec<f64> = Vec::with_capacity(n);
-    for (blk, block) in closed_blocks.iter().enumerate() {
-        for (slot, &c) in block.iter().enumerate() {
-            let r = blk * CLS_BLOCK + slot;
-            let k: usize = smat[r * stride..(r + 1) * stride]
-                .iter()
-                .map(|w| w.count_ones() as usize)
-                .sum();
-            by_rank.push(if k < 2 {
-                0.0
-            } else {
-                c as f64 / (k * (k - 1) / 2) as f64
-            });
-        }
-    }
-    // Contributions are per-node f64s; summing in ascending *original* node
-    // order keeps the accumulation sequence identical to the ragged twin's.
-    let mut cls_sum = 0.0;
-    for (i, &r) in rank.iter().enumerate() {
-        if degrees[i] >= 2 {
-            cls_sum += by_rank[r];
-        }
-    }
-    let cls = 1.0 - cls_sum / n as f64;
-
-    // hub = 1 − mean normalized hub score (principal eigenvector of the
-    // adjacency matrix via power iteration). Each next[i] sums v[j] over
-    // set bits in ascending j — the ragged twin's sorted adjacency order.
-    let hub = {
-        let mut v = vec![1.0f64; n];
-        for _ in 0..50 {
-            // Each row's sum walks its set bits in ascending j — identical
-            // FP order to the ragged twin's sorted adjacency lists. Rows are
-            // processed four at a time so the four independent accumulator
-            // chains overlap in the pipeline (a single chain is bound by
-            // FP-add latency); interleaving across rows reorders nothing
-            // within any row.
-            let row_sum = |i: usize| {
-                let mut acc = 0.0f64;
-                for (w, &bits) in rows[i].iter().enumerate() {
-                    let base = w * 64;
-                    let mut b = bits;
-                    while b != 0 {
-                        acc += v[base + b.trailing_zeros() as usize];
-                        b &= b - 1;
-                    }
-                }
-                acc
-            };
-            let mut next: Vec<f64> = vec![0.0; n];
-            rlb_util::par::par_fill(&mut next, |start, span| {
-                let mut i = 0;
-                while i + 4 <= span.len() {
-                    let quad = [start + i, start + i + 1, start + i + 2, start + i + 3];
-                    let mut accs = [0.0f64; 4];
-                    // `w` walks the words of four *different* rows in
-                    // lockstep; clippy's iterator rewrite would walk `rows`
-                    // (n entries) instead of the per-row word vectors.
-                    #[allow(clippy::needless_range_loop)]
-                    for w in 0..stride {
-                        let base = w * 64;
-                        for (q, &row) in quad.iter().enumerate() {
-                            let mut b = rows[row][w];
-                            while b != 0 {
-                                accs[q] += v[base + b.trailing_zeros() as usize];
-                                b &= b - 1;
-                            }
-                        }
-                    }
-                    span[i..i + 4].copy_from_slice(&accs);
-                    i += 4;
-                }
-                while i < span.len() {
-                    span[i] = row_sum(start + i);
-                    i += 1;
-                }
-            });
-            let norm = next.iter().map(|x| x * x).sum::<f64>().sqrt();
-            if norm < 1e-12 {
-                v = vec![0.0; n];
-                break;
-            }
-            for x in next.iter_mut() {
-                *x /= norm;
-            }
-            v = next;
-        }
-        hub_from_scores(&v, n)
-    };
-
-    (den, cls, hub)
-}
-
-/// Relabels nodes so ε-neighbourhoods become contiguous rank bands: sort by
-/// (class, key-dimension value, original index), where the key dimension is
-/// the active (positive-range) dimension with the largest fitted range
-/// (ties broken toward the lowest index). Returns `rank[i]` = position of
-/// original node `i` in the sorted order. With no active dimension every
-/// distance is zero and the class-major identity order is returned.
-fn cluster_rank(ys: &[bool], engine: &DistanceEngine) -> Vec<usize> {
-    let n = ys.len();
-    let ranges = engine.space().ranges();
-    let mut key = None;
-    for (d, &r) in ranges.iter().enumerate() {
-        if r > 0.0 && key.is_none_or(|k: usize| r > ranges[k]) {
-            key = Some(d);
-        }
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        let by_class = ys[a].cmp(&ys[b]);
-        match key {
-            Some(d) => by_class
-                .then(engine.point(a)[d].total_cmp(&engine.point(b)[d]))
-                .then(a.cmp(&b)),
-            None => by_class.then(a.cmp(&b)),
-        }
-    });
-    let mut rank = vec![0usize; n];
-    for (r, &i) in order.iter().enumerate() {
-        rank[i] = r;
-    }
-    rank
+    blocks.concat()
 }
 
 /// Indices of the first and last nonzero words, or `(1, 0)` (an empty
@@ -293,11 +266,126 @@ fn above_bit_mask(b: usize) -> u64 {
     }
 }
 
-/// Ascending indices of the set bits of a packed bitset. The hot loops
-/// (hub's row sums, the cls intersection sweep) hand-roll this walk for
-/// speed; the helper stays as the executable specification the
-/// `bit_iteration_is_ascending_and_complete` test pins.
-#[cfg(test)]
+/// Consecutive singleton cells whose hub sums run interleaved: four
+/// independent accumulator chains keep the FP adder busy where a single
+/// chain would wait on its latency.
+const SINGLETON_GROUP: usize = 4;
+
+/// hub = 1 − mean normalized hub score: the principal eigenvector of the
+/// point adjacency matrix by 50 power iterations. Point i's next score
+/// sums `v[j]` over its neighbours j in ascending order — its cell's
+/// point row without i itself — exactly the oracle's sorted adjacency
+/// walk.
+fn hub_cells(cells: &Cells, adj: &BitMatrix, mates: bool) -> f64 {
+    let n = cells.points();
+    let k = cells.len();
+    // Point-level neighbour rows, one per cell: the members of every
+    // neighbour cell, plus the cell's own members when they are adjacent
+    // to each other (each member skips its own bit).
+    let rows: Vec<Vec<u64>> = rlb_util::par::par_map_range(k, |c| {
+        let mut bits = vec![0u64; n.div_ceil(64)];
+        let own = (mates && cells.mult(c) >= 2).then_some(c);
+        for e in iter_bits(adj.row(c)).chain(own) {
+            for &j in cells.members(e) {
+                bits[j / 64] |= 1 << (j % 64);
+            }
+        }
+        bits
+    });
+    // Work units: a multi-member cell alone, or a run of up to
+    // SINGLETON_GROUP consecutive singleton cells.
+    let mut units: Vec<Range<usize>> = Vec::new();
+    let mut c = 0;
+    while c < k {
+        let mut end = c + 1;
+        if cells.mult(c) == 1 {
+            while end < k && end - c < SINGLETON_GROUP && cells.mult(end) == 1 {
+                end += 1;
+            }
+        }
+        units.push(c..end);
+        c = end;
+    }
+
+    let mut v = vec![1.0f64; n];
+    for _ in 0..50 {
+        let sums: Vec<Vec<f64>> = rlb_util::par::par_map_range(units.len(), |u| {
+            let r = units[u].clone();
+            if cells.mult(r.start) == 1 {
+                singleton_sums(&rows[r], &v)
+            } else {
+                lockstep_sums(&rows[r.start], cells.members(r.start), &v)
+            }
+        });
+        let mut next = vec![0.0f64; n];
+        for (unit, s) in units.iter().zip(sums) {
+            for (&i, x) in cells.members_of_range(unit.clone()).iter().zip(s) {
+                next[i] = x;
+            }
+        }
+        let norm = next.iter().map(|x| x * x).sum::<f64>().sqrt();
+        if norm < 1e-12 {
+            v = vec![0.0; n];
+            break;
+        }
+        for x in next.iter_mut() {
+            *x /= norm;
+        }
+        v = next;
+    }
+    hub_from_scores(&v, n)
+}
+
+/// Hub sums of singleton cells (no own bit in their rows), walking the
+/// rows word by word in lockstep so their accumulator chains overlap.
+fn singleton_sums(rows: &[Vec<u64>], v: &[f64]) -> Vec<f64> {
+    // Short groups are padded with an empty row so the lane loop has a
+    // fixed trip count and the accumulators stay in registers.
+    let empty = vec![0u64; rows[0].len()];
+    let lanes: [&[u64]; SINGLETON_GROUP] =
+        std::array::from_fn(|q| rows.get(q).map_or(&empty[..], |r| &r[..]));
+    let mut accs = [0.0f64; SINGLETON_GROUP];
+    for w in 0..empty.len() {
+        let base = w * 64;
+        for (acc, lane) in accs.iter_mut().zip(lanes) {
+            let mut b = lane[w];
+            while b != 0 {
+                *acc += v[base + b.trailing_zeros() as usize];
+                b &= b - 1;
+            }
+        }
+    }
+    accs[..rows.len()].to_vec()
+}
+
+/// Hub sums of one cell's members, in member order: one walk of the
+/// cell's point row, each `v[j]` added to every member's accumulator
+/// except at the member's own bit. Members are ascending and so are the
+/// bits, so the next own bit is always `members[t]`.
+fn lockstep_sums(row: &[u64], members: &[usize], v: &[f64]) -> Vec<f64> {
+    let mut accs = vec![0.0f64; members.len()];
+    let mut t = 0;
+    for (w, &bits) in row.iter().enumerate() {
+        let mut b = bits;
+        while b != 0 {
+            let j = w * 64 + b.trailing_zeros() as usize;
+            b &= b - 1;
+            let vj = v[j];
+            if members.get(t) == Some(&j) {
+                let (before, after) = accs.split_at_mut(t);
+                before.iter_mut().for_each(|a| *a += vj);
+                after[1..].iter_mut().for_each(|a| *a += vj);
+                t += 1;
+            } else {
+                accs.iter_mut().for_each(|a| *a += vj);
+            }
+        }
+    }
+    accs
+}
+
+/// Ascending indices of the set bits of a packed bitset. The hub sums
+/// hand-roll this walk for speed.
 fn iter_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     words.iter().enumerate().flat_map(|(w, &bits)| {
         std::iter::successors((bits != 0).then_some(bits), |b| {
@@ -308,8 +396,8 @@ fn iter_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
-/// Computes `(den, cls, hub)` from a materialized distance matrix — the
-/// O(n²)-memory ragged twin of [`network_measures`].
+/// Computes `(den, cls, hub)` from a materialized point distance matrix —
+/// the O(n²)-memory oracle for [`network_measures`].
 pub fn network_measures_ragged(ys: &[bool], dists: &[Vec<f64>], epsilon: f64) -> (f64, f64, f64) {
     let n = ys.len();
     // Ascending outer/inner loops keep every adjacency list sorted, which
@@ -396,18 +484,19 @@ mod tests {
     use super::*;
     use rlb_textsim::gower::GowerSpace;
 
-    /// Runs both layouts and asserts bit-identity before returning the
-    /// streaming result.
+    /// Runs the cell path and the oracle and asserts bit-identity before
+    /// returning the cell result.
     fn graph_for(xs: &[Vec<f64>], ys: &[bool], eps: f64) -> (f64, f64, f64) {
-        let engine = DistanceEngine::fit(xs).unwrap();
-        let streaming = network_measures(ys, &engine, eps);
+        let cells = Cells::group(xs, ys);
+        let engine = DistanceEngine::fit(&cells.representatives(xs)).unwrap();
+        let cell = network_measures(&cells, &engine, eps);
         let g = GowerSpace::fit(xs).unwrap();
         let d = g.pairwise(xs);
         let ragged = network_measures_ragged(ys, &d, eps);
-        assert_eq!(streaming.0.to_bits(), ragged.0.to_bits(), "den");
-        assert_eq!(streaming.1.to_bits(), ragged.1.to_bits(), "cls");
-        assert_eq!(streaming.2.to_bits(), ragged.2.to_bits(), "hub");
-        streaming
+        assert_eq!(cell.0.to_bits(), ragged.0.to_bits(), "den");
+        assert_eq!(cell.1.to_bits(), ragged.1.to_bits(), "cls");
+        assert_eq!(cell.2.to_bits(), ragged.2.to_bits(), "hub");
+        cell
     }
 
     #[test]
@@ -497,23 +586,46 @@ mod tests {
     }
 
     #[test]
-    fn cluster_rank_is_a_permutation_grouped_by_class() {
-        let mut rng = rlb_util::Prng::seed_from_u64(9);
-        let xs: Vec<Vec<f64>> = (0..70).map(|_| vec![rng.f64(), rng.f64() * 0.2]).collect();
-        let ys: Vec<bool> = (0..70).map(|i| i % 3 != 0).collect();
-        let engine = DistanceEngine::fit(&xs).unwrap();
-        let rank = cluster_rank(&ys, &engine);
-        let mut seen = [false; 70];
-        for &r in &rank {
-            assert!(!seen[r], "duplicate rank {r}");
-            seen[r] = true;
+    fn duplicated_rows_match_the_oracle() {
+        // Multiplicities 1..=9 cover several weight bit planes; some cells
+        // repeat under both labels and one eps makes cell mates isolated.
+        let mut rng = rlb_util::Prng::seed_from_u64(5);
+        let mut xs = Vec::new();
+        let mut ys = Vec::new();
+        for c in 0..30usize {
+            let x = vec![(c % 6) as f64 / 5.0, (c / 6) as f64 / 4.0];
+            for _ in 0..1 + c % 9 {
+                xs.push(x.clone());
+                ys.push(rng.chance(0.5));
+            }
         }
-        // Class-major: every false-class rank below every true-class rank,
-        // and within a class ranks ascend with the key (largest-range) dim.
-        let n_false = ys.iter().filter(|&&y| !y).count();
-        for (i, &r) in rank.iter().enumerate() {
-            assert_eq!(r < n_false, !ys[i], "node {i}");
+        ys[0] = true;
+        ys[1] = false;
+        for eps in [0.0, 0.1, 0.15, 0.3, 1.1] {
+            let (den, cls, hub) = graph_for(&xs, &ys, eps);
+            for v in [den, cls, hub] {
+                assert!((0.0..=1.0).contains(&v), "{v} at eps {eps}");
+            }
         }
+    }
+
+    #[test]
+    fn weights_sum_multiplicities_over_set_bits() {
+        let xs: Vec<Vec<f64>> = [0usize, 1, 1, 2, 2, 2, 2, 2, 3]
+            .iter()
+            .map(|&c| vec![c as f64])
+            .collect();
+        let ys = vec![true; 9];
+        let cells = Cells::group(&xs, &ys);
+        let w = Weights::of(&cells);
+        assert_eq!(w.planes.len(), 3, "largest multiplicity 5 → m − 1 = 4");
+        let sum = |x: u64| w.sum_and(&[x], &[!0], 0);
+        assert_eq!(sum(0b1111), 9);
+        assert_eq!(sum(0b0110), 7);
+        assert_eq!(sum(0), 0);
+        let distinct: Vec<Vec<f64>> = (0..70).map(|i| vec![i as f64]).collect();
+        let cells = Cells::group(&distinct, &[true; 70]);
+        assert!(Weights::of(&cells).planes.is_empty());
     }
 
     #[test]

@@ -427,6 +427,180 @@ fn complexity_streaming_matches_ragged_on_degenerate_edges() {
     assert_reports_bit_identical(&xs, &ys, &cfg, "constant feature column");
 }
 
+/// Distinct `(features, label)` cells of a row set, `-0.0` folded into
+/// `+0.0`.
+fn cell_count(xs: &[Vec<f64>], ys: &[bool]) -> usize {
+    let cells: std::collections::HashSet<(Vec<u64>, bool)> = xs
+        .iter()
+        .zip(ys)
+        .map(|(x, &y)| (x.iter().map(|v| (v + 0.0).to_bits()).collect(), y))
+        .collect();
+    cells.len()
+}
+
+/// Multiplicity of the most common `(features, label)` cell.
+fn largest_cell(xs: &[Vec<f64>], ys: &[bool]) -> usize {
+    let mut counts: std::collections::HashMap<(Vec<u64>, bool), usize> = Default::default();
+    for (x, &y) in xs.iter().zip(ys) {
+        let key = (x.iter().map(|v| (v + 0.0).to_bits()).collect(), y);
+        *counts.entry(key).or_default() += 1;
+    }
+    counts.into_values().max().unwrap_or(0)
+}
+
+/// Quantized `[CS, JS]`-like rows: every coordinate is `k/m` with `m ≤ 8`,
+/// drawn from a few grid values per dimension, so rows collapse into few
+/// cells. About a third of the points share one hot cell (hundreds of
+/// members); the hot features also appear under the other label; two rows
+/// take grid values no other row uses (single-member cells); and zero
+/// coordinates are randomly negated, putting `-0.0` next to `+0.0`.
+fn quantized_classification(rng: &mut Prng, n: usize, dim: usize) -> (Vec<Vec<f64>>, Vec<bool>) {
+    let m = rng.range(3, 9);
+    // Per-dimension support: three grid values from 0..m, leaving m itself
+    // (the value 1.0) free for the single-member rows.
+    let support: Vec<Vec<f64>> = (0..dim)
+        .map(|_| {
+            let mut ks = vec![0usize];
+            while ks.len() < 3 {
+                let k = rng.range(1, m);
+                if !ks.contains(&k) {
+                    ks.push(k);
+                }
+            }
+            ks.into_iter().map(|k| k as f64 / m as f64).collect()
+        })
+        .collect();
+    let draw = |rng: &mut Prng| -> Vec<f64> {
+        support
+            .iter()
+            .map(|vals| {
+                let v = vals[rng.range(0, vals.len())];
+                if v == 0.0 && rng.chance(0.5) {
+                    -0.0
+                } else {
+                    v
+                }
+            })
+            .collect()
+    };
+    let hot = draw(rng);
+    let hot_label = rng.chance(0.5);
+    let mut xs = Vec::with_capacity(n);
+    let mut ys = Vec::with_capacity(n);
+    for i in 0..n {
+        if i % 3 == 0 {
+            xs.push(hot.clone());
+            ys.push(hot_label);
+        } else {
+            xs.push(draw(rng));
+            ys.push(rng.chance(0.4));
+        }
+    }
+    for i in [1usize, 4, 7, 10, 13] {
+        xs[i] = hot.clone();
+        ys[i] = !hot_label;
+    }
+    // Two single-member cells: coordinate 0 at 1.0, which the support
+    // never yields, and the rest distinct from each other.
+    for (i, v) in [(2usize, 1.0), (5, (m - 1) as f64 / m as f64)] {
+        let mut x = vec![1.0; dim];
+        if dim > 1 {
+            x[1] = v;
+        }
+        xs[i] = x;
+    }
+    ys[0] = true;
+    ys[3] = false;
+    (xs, ys)
+}
+
+#[test]
+fn complexity_cells_match_ragged_on_quantized_rows() {
+    // Duplicated rows drive the cell path through its zero-distance
+    // branches (cell mates, same features under both labels, Prim's
+    // shared frontier entries, weighted closed-pair counts): every one of
+    // the 17 measures must still equal the pointwise oracle bit for bit.
+    let mut rng = Prng::seed_from_u64(0xCE_11);
+    for case in 0..12 {
+        let dim = rng.range(1, 4);
+        let n = rng.range(700, 1000);
+        let (xs, ys) = quantized_classification(&mut rng, n, dim);
+        let cells = cell_count(&xs, &ys);
+        assert!(
+            cells * 10 <= n,
+            "case {case}: {n} rows in {cells} cells collapse less than 10x"
+        );
+        assert!(largest_cell(&xs, &ys) >= 200, "case {case}: no large cell");
+        // Half the cases run the stratified subsample path (cap < n).
+        let cap = if case % 2 == 0 {
+            n
+        } else {
+            rng.range(n / 2, n)
+        };
+        let cfg = rlb_complexity::ComplexityConfig {
+            max_points: cap,
+            seed: rng.next_u64(),
+            ..Default::default()
+        };
+        assert_reports_bit_identical(
+            &xs,
+            &ys,
+            &cfg,
+            &format!("{case} (n={n}, dim={dim}, cells={cells}, cap={cap})"),
+        );
+    }
+}
+
+#[test]
+fn complexity_cells_match_ragged_on_duplicate_edges() {
+    let cfg = rlb_complexity::ComplexityConfig::default();
+    let mut rng = Prng::seed_from_u64(0xCE_12);
+
+    // Point counts at and around the 64-bit word boundaries of the
+    // point-level hub rows.
+    for n in [63usize, 64, 65, 128, 129] {
+        let (xs, ys) = quantized_classification(&mut rng, n, 2);
+        assert_reports_bit_identical(&xs, &ys, &cfg, &format!("n={n}"));
+    }
+
+    // All rows identical under both labels: one cell per label at
+    // distance 0 from each other.
+    let xs = vec![vec![0.5, 0.25]; 200];
+    let ys: Vec<bool> = (0..200).map(|i| i % 7 == 0).collect();
+    assert_reports_bit_identical(&xs, &ys, &cfg, "all-identical rows");
+
+    // A single-member class among hundreds of duplicates.
+    let (xs, mut ys) = quantized_classification(&mut rng, 300, 2);
+    ys.iter_mut().for_each(|y| *y = false);
+    ys[17] = true;
+    assert_reports_bit_identical(&xs, &ys, &cfg, "single-member class");
+
+    // An evenly spaced 1-D grid: every cell's neighbours sit at equal
+    // nonzero distances, so n3, n4 and Prim break ties on point indices.
+    let xs: Vec<Vec<f64>> = (0..400).map(|i| vec![(i % 9) as f64 / 8.0]).collect();
+    let ys: Vec<bool> = (0..400).map(|_| rng.chance(0.5)).collect();
+    assert_reports_bit_identical(&xs, &ys, &cfg, "equal distances across cells");
+
+    // Explicit signed zeros, alone and mixed with other values.
+    let mut xs = Vec::new();
+    let mut ys = Vec::new();
+    for i in 0..120 {
+        let z = if i % 2 == 0 { 0.0 } else { -0.0 };
+        xs.push(vec![z, [0.0, -0.0, 0.5, 1.0][i % 4]]);
+        ys.push(i % 5 < 2);
+    }
+    assert_reports_bit_identical(&xs, &ys, &cfg, "+0.0 next to -0.0");
+
+    // A full 9 x 9 grid under both labels: up to 162 cells, crossing the
+    // 64- and 128-bit word boundaries of the cell-level rows.
+    let xs: Vec<Vec<f64>> = (0..700)
+        .map(|_| vec![rng.range(0, 9) as f64 / 8.0, rng.range(0, 9) as f64 / 8.0])
+        .collect();
+    let ys: Vec<bool> = (0..700).map(|_| rng.chance(0.5)).collect();
+    assert!(cell_count(&xs, &ys) > 128);
+    assert_reports_bit_identical(&xs, &ys, &cfg, "9x9 grid, both labels");
+}
+
 #[test]
 fn distance_engine_rows_match_pairwise_bitwise() {
     // Engine-level twin identity down to n = 2, below compute()'s 4-point
